@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .decoder import DecoderConfig, DecodeResult, Hypothesis, _order_key
-from .errors import SearchError
+from .decoder import DecoderConfig, DecodeResult, _beam_search
 from .ops import n_shortest_strings
 from .posterior import REJECT, PosteriorLattice
 from .scorers import EOS_ID
@@ -50,56 +49,25 @@ def nbest_from_posterior(lattice: PosteriorLattice, n: int,
     return NBestList([(tokens, -cost) for tokens, cost in strings], source_id)
 
 
-def decode_unconstrained(scorer, cfg: DecoderConfig | None = None,
-                         max_steps: int = 100) -> DecodeResult:
+def decode_unconstrained(scorer, cfg: DecoderConfig | None = None) -> DecodeResult:
     """Beam search over the scorer's full vocabulary, no lattice.
 
     Candidates are every vocabulary token plus finishing on eos; the
     lattice weight is unused and lambda_scorer must be positive. Raises
-    SearchError when nothing finishes within max_steps iterations.
+    SearchError when nothing finishes within cfg.max_steps iterations
+    (100 when unset).
     """
     if cfg is None:
         cfg = DecoderConfig()
     if cfg.lambda_scorer <= 0:
         raise ValueError("unconstrained decoding needs lambda_scorer > 0")
-    if cfg.max_steps is not None:
-        max_steps = cfg.max_steps
 
-    beam = [Hypothesis((), 0.0, -1, scorer.start())]
-    expansions = 0
-    predict_calls = 0
-    best_finished: Hypothesis | None = None
-    steps = 0
-    while not beam[0].finished:
-        if steps >= max_steps:
-            if best_finished is None:
-                raise SearchError(f"no finished hypothesis within {max_steps} steps")
-            return DecodeResult(best_finished, beam, expansions, predict_calls)
-        steps += 1
-        candidates: list[Hypothesis] = []
-        for hyp in beam:
-            if hyp.finished:
-                candidates.append(hyp)
-                continue
-            pred = scorer.predict(hyp.scorer_state)
-            predict_calls += 1
-            expansions += 1
-            for token in sorted(pred.in_vocab):
-                candidates.append(Hypothesis(
-                    hyp.prefix + (token,),
-                    hyp.score + cfg.lambda_scorer * pred.in_vocab[token],
-                    -1,
-                    scorer.consume(hyp.scorer_state, token),
-                ))
-            done = Hypothesis(hyp.prefix,
-                              hyp.score + cfg.lambda_scorer * pred.eos_logprob,
-                              -1, hyp.scorer_state, True)
-            candidates.append(done)
-            if best_finished is None or _order_key(done) < _order_key(best_finished):
-                best_finished = done
-        candidates.sort(key=_order_key)
-        beam = candidates[:cfg.beam]
-    return DecodeResult(beam[0], beam, expansions, predict_calls)
+    def expand(_, pred):
+        lam = cfg.lambda_scorer
+        return ([(token, lam * lp, -1) for token, lp in sorted(pred.in_vocab.items())],
+                lam * pred.eos_logprob)
+
+    return _beam_search(-1, scorer, cfg.beam, cfg.max_steps or 100, expand)
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,21 +157,21 @@ def rescore_nbest_dfs(nbest: NBestList, scorer, lambda_lat: float = 1.0,
 
     scorer_logprobs: dict[tuple[int, ...], float] = {}
     calls = 0
-
-    def walk(node: dict, state, prefix: tuple[int, ...], acc: float) -> None:
-        nonlocal calls
-        for token in sorted(node):
-            # one predict per scored token: this models the per-position
-            # cost of a left-to-right scorer, the same unit naive pays
-            pred = scorer.predict(state)
-            calls += 1
-            if token == EOS_ID:
-                scorer_logprobs[prefix] = acc + pred.eos_logprob
-            else:
-                walk(node[token], scorer.consume(state, token),
-                     prefix + (token,), acc + pred.logprob(token))
-
-    walk(trie, scorer.start(), (), 0.0)
+    # depth first without recursion: children pushed in reverse pop in order
+    stack = [(t, trie, scorer.start(), (), 0.0) for t in sorted(trie, reverse=True)]
+    while stack:
+        token, node, state, prefix, acc = stack.pop()
+        # one predict per scored token: this models the per-position
+        # cost of a left-to-right scorer, the same unit naive pays
+        pred = scorer.predict(state)
+        calls += 1
+        if token == EOS_ID:
+            scorer_logprobs[prefix] = acc + pred.eos_logprob
+            continue
+        child, state = node[token], scorer.consume(state, token)
+        prefix, acc = prefix + (token,), acc + pred.logprob(token)
+        for t in sorted(child, reverse=True):
+            stack.append((t, child, state, prefix, acc))
     ranked, rejected = _combine(nbest, scorer_logprobs, lambda_lat,
                                 lambda_scorer, lattice)
     return RescoreResult(ranked, calls, rejected)

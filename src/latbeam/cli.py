@@ -92,9 +92,6 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8"), True
 
 
-_PUSH_JOB = {}
-
-
 def _push_one(job):
     src, dst, symtab_path = job
     symbols = _load_symbols(symtab_path)
@@ -139,10 +136,8 @@ def cmd_push(args) -> int:
 
 
 def _decode_one(job):
-    path, symtab_path, cfg_fields, scorer_blob = job
+    path, symtab_path, cfg, scorer = job
     symbols = _load_symbols(symtab_path)
-    cfg = DecoderConfig(**cfg_fields)
-    scorer = scorer_blob
     try:
         inner = parse_wfsa(Path(path).read_text(encoding="utf-8"), symbols,
                            semiring_tag=semiring.LOG)
@@ -158,10 +153,8 @@ def _decode_one(job):
 def cmd_decode(args) -> int:
     symbols = _load_symbols(args.symtab)
     scorer = _make_scorer(args, symbols)
-    cfg_fields = dict(beam=args.beam, lambda_lat=args.lambda_lat,
-                      lambda_scorer=args.lambda_scorer,
-                      local_softmax=args.local_softmax)
-    jobs = [(str(f), args.symtab, cfg_fields, scorer)
+    cfg = _decoder_config(args)
+    jobs = [(str(f), args.symtab, cfg, scorer)
             for f in _lattice_files(args.latdir)]
     results = _pmap(_decode_one, jobs, args.workers)
     out, close_out = _open_out(args.out)
@@ -249,8 +242,13 @@ def _read_nbest_file(path, symbols) -> list[NBestList]:
                     f"{path}: line {lineno}: bad logprob {lp_text!r}") from None
             tokens = tuple(symbols.id_of(t) for t in text.split())
             groups.setdefault(ident, []).append((tokens, logprob))
-    return [NBestList(entries, source_id=ident)
-            for ident, entries in sorted(groups.items())]
+    lists = []
+    for ident, entries in sorted(groups.items()):
+        try:
+            lists.append(NBestList(entries, source_id=ident))
+        except ValueError as exc:
+            raise LatbeamError(f"{path}: list {ident}: {exc}") from None
+    return lists
 
 
 def cmd_rescore(args) -> int:
@@ -303,6 +301,9 @@ def cmd_tune(args) -> int:
         lattices.append(PosteriorLattice(inner))
     references = [[symbols.id_of(t) for t in sent]
                   for sent in _read_sentences(args.refs)]
+    if len(references) != len(lattices):
+        raise LatbeamError(f"{args.refs}: {len(references)} references "
+                           f"for {len(lattices)} lattices")
     grid = _parse_grid(args.grid)
     result = tune_grid(lattices, references, scorer, grid, beam=args.beam,
                        local_softmax=args.local_softmax)

@@ -11,16 +11,20 @@ state each get the full unk mass. Finishing costs the lattice's stop
 mass plus the scorer's eos mass, weighted the same way. The search is
 breadth-first and output-synchronous: every live hypothesis is expanded
 once per iteration (one node expansion = one scorer predict call), and
-finished hypotheses ride along in the same beam untouched.
+finished hypotheses ride along in the same beam untouched. One loop
+serves this decoder and the unconstrained baseline; it calls the
+scorer's consume only for hypotheses that survive the beam and reads
+prefixes back through parent pointers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
-from .errors import EmptyLatticeError, SearchError
+from .errors import SearchError
 from .posterior import PosteriorLattice
 from .scorers import Prediction, logsumexp
 
@@ -46,18 +50,24 @@ class DecoderConfig:
             raise ValueError("max_steps must be positive")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Hypothesis:
-    prefix: tuple[int, ...]
+    """A search node; its prefix is read back through parent pointers."""
+
     score: float
     lattice_state: int
     scorer_state: Any
+    parent: Hypothesis | None = field(default=None, repr=False)
+    token: int | None = None
     finished: bool = False
 
-
-def _order_key(hyp: Hypothesis):
-    # best score first, then shorter prefix, then lexicographic token ids
-    return (-hyp.score, len(hyp.prefix), hyp.prefix)
+    @property
+    def prefix(self) -> tuple[int, ...]:
+        tokens, hyp = [], self
+        while hyp.parent is not None:
+            tokens.append(hyp.token)
+            hyp = hyp.parent
+        return tuple(reversed(tokens))
 
 
 @dataclass(slots=True)
@@ -65,7 +75,6 @@ class DecodeResult:
     best: Hypothesis
     beam: list[Hypothesis]
     node_expansions: int
-    scorer_predict_calls: int
 
 
 def local_log_norm(pred: Prediction, state_tokens) -> float:
@@ -104,6 +113,55 @@ def _end_score(final_logprob: float, pred: Prediction, cfg: DecoderConfig) -> fl
     return score
 
 
+def _beam_search(start: int, scorer, width: int, max_steps: int,
+                 expand) -> DecodeResult:
+    """The search loop of every decoding mode.
+
+    expand(lattice_state, pred) returns [(token, step_score, next_state)]
+    and the score of finishing there, or None. A candidate is a plain tuple
+    (-score, length, lex, parent, next_state) until it survives the beam.
+    Tuples sort best first, then shorter, then by lex, which orders
+    hypotheses of one length as their prefixes would: they come from one
+    generation, and lex is (rank of the parent among that generation in
+    prefix order, token), or the lex of the hypothesis that finishes.
+    """
+    live = [((), Hypothesis(0.0, start, scorer.start()))]  # (lex, hyp), prefix order
+    done = []  # finished survivors, as (-score, length, lex, hyp, None)
+    best_done = None
+    expansions = 0
+    for length in range(max_steps):
+        candidates = done
+        for rank, (lex, hyp) in enumerate(live):
+            pred = scorer.predict(hyp.scorer_state)
+            expansions += 1
+            steps, end = expand(hyp.lattice_state, pred)
+            for token, step, state in steps:
+                candidates.append((-(hyp.score + step), length + 1, (rank, token), hyp, state))
+            if end is not None:  # finishing keeps hyp's prefix: same parent and token
+                fin = Hypothesis(hyp.score + end, hyp.lattice_state, hyp.scorer_state,
+                                 hyp.parent, hyp.token, True)
+                cand = (-fin.score, length, lex, fin, None)
+                candidates.append(cand)
+                best_done = cand if best_done is None else min(best_done, cand)
+        candidates.sort()
+        beam, live, done = [], [], []
+        for cand in candidates[:width]:
+            neg, _, lex, hyp, state = cand
+            if state is None:
+                done.append(cand)
+            else:
+                hyp = Hypothesis(-neg, state, scorer.consume(hyp.scorer_state, lex[1]),
+                                 hyp, lex[1])
+                live.append((lex, hyp))
+            beam.append(hyp)
+        if beam[0].finished:
+            return DecodeResult(beam[0], beam, expansions)
+        live.sort(key=itemgetter(0))
+    if best_done is None:
+        raise SearchError(f"no finished hypothesis within {max_steps} steps")
+    return DecodeResult(best_done[3], beam, expansions)
+
+
 def decode(lattice: PosteriorLattice, scorer,
            cfg: DecoderConfig | None = None) -> DecodeResult:
     """Fused beam decode; returns the best finished hypothesis.
@@ -118,46 +176,16 @@ def decode(lattice: PosteriorLattice, scorer,
     """
     if cfg is None:
         cfg = DecoderConfig()
-    if not lattice.num_states:
-        raise EmptyLatticeError("cannot decode an empty lattice")
-    max_steps = cfg.max_steps if cfg.max_steps is not None else max(1, 3 * lattice.depth)
+    max_steps = cfg.max_steps or max(1, 3 * lattice.depth)
 
-    beam = [Hypothesis((), 0.0, lattice.start, scorer.start())]
-    expansions = 0
-    predict_calls = 0
-    best_finished: Hypothesis | None = None
-    steps = 0
-    while not beam[0].finished:
-        if steps >= max_steps:
-            if best_finished is None:
-                raise SearchError(f"no finished hypothesis within {max_steps} steps")
-            return DecodeResult(best_finished, beam, expansions, predict_calls)
-        steps += 1
-        candidates: list[Hypothesis] = []
-        for hyp in beam:
-            if hyp.finished:
-                candidates.append(hyp)
-                continue
-            pred = scorer.predict(hyp.scorer_state)
-            predict_calls += 1
-            expansions += 1
-            arcs, final_logprob = lattice.successors(hyp.lattice_state)
-            state_tokens = [s.token for s in arcs] if cfg.local_softmax else None
-            for succ in arcs:
-                step = joint_step_logprob(succ, pred, cfg, state_tokens)
-                candidates.append(Hypothesis(
-                    hyp.prefix + (succ.token,),
-                    hyp.score + step,
-                    succ.next_state,
-                    scorer.consume(hyp.scorer_state, succ.token),
-                ))
-            if final_logprob != NEG_INF:
-                done = Hypothesis(hyp.prefix,
-                                  hyp.score + _end_score(final_logprob, pred, cfg),
-                                  hyp.lattice_state, hyp.scorer_state, True)
-                candidates.append(done)
-                if best_finished is None or _order_key(done) < _order_key(best_finished):
-                    best_finished = done
-        candidates.sort(key=_order_key)
-        beam = candidates[:cfg.beam]
-    return DecodeResult(beam[0], beam, expansions, predict_calls)
+    def expand(state, pred):
+        arcs, final_logprob = lattice.successors(state)
+        state_tokens = [s.token for s in arcs] if cfg.local_softmax else None
+        steps = []
+        for s in arcs:
+            steps.append((s.token, joint_step_logprob(s, pred, cfg, state_tokens), s.next_state))
+        if final_logprob == NEG_INF:
+            return steps, None
+        return steps, _end_score(final_logprob, pred, cfg)
+
+    return _beam_search(lattice.start, scorer, cfg.beam, max_steps, expand)

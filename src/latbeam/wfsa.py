@@ -35,6 +35,7 @@ class SymbolTable:
     def __init__(self, closed: bool = False):
         self._by_sym: dict[str, int] = {EPS_SYM: EPS}
         self._by_id: dict[int, str] = {EPS: EPS_SYM}
+        self._next_id = EPS + 1
         self.closed = closed
 
     def __len__(self) -> int:
@@ -48,7 +49,8 @@ class SymbolTable:
             return self._by_sym[sym]
         if self.closed:
             raise UnknownSymbolError(f"unknown symbol {sym!r} in closed table")
-        new_id = max(self._by_id) + 1
+        new_id = self._next_id
+        self._next_id += 1
         self._by_sym[sym] = new_id
         self._by_id[new_id] = sym
         return new_id
@@ -107,6 +109,7 @@ def parse_symbols(text: str) -> SymbolTable:
     table = SymbolTable()
     table._by_sym = by_sym
     table._by_id = by_id
+    table._next_id = max(by_id) + 1
     table.closed = True
     return table
 

@@ -16,7 +16,13 @@ from latbeam.baselines import (
 from latbeam.decoder import DecoderConfig
 from latbeam.ops import n_shortest_strings
 from latbeam.posterior import prepare
-from latbeam.scorers import Prediction, TableScorer, UniformScorer, train_ngram
+from latbeam.scorers import (
+    NgramScorer,
+    Prediction,
+    TableScorer,
+    UniformScorer,
+    train_ngram,
+)
 from latbeam.synth import lattice_prefixes, random_acyclic_wfsa, random_table_scorer
 from latbeam.wfsa import Wfsa
 
@@ -108,6 +114,20 @@ class TestDecodeUnconstrained:
         assert greedy.best.prefix == (A,)
         wide = decode_unconstrained(scorer, DecoderConfig(beam=8))
         assert wide.best.prefix == (B,)
+
+    def test_step_cap_comes_from_config(self):
+        # a scorer that always prefers going on never finishes on its
+        # own; the search stops at the cap and falls back to the best
+        # finished hypothesis, the empty string
+        lp = math.log
+        scorer = NgramScorer(1, {A}, {(): Prediction({A: lp(0.98)},
+                                                     lp(0.01), lp(0.01))})
+        capped = decode_unconstrained(scorer, DecoderConfig(beam=1, max_steps=7))
+        assert capped.node_expansions == 7
+        assert capped.best.prefix == ()
+        assert capped.best.finished
+        default = decode_unconstrained(scorer, DecoderConfig(beam=1))
+        assert default.node_expansions == 100
 
     def test_requires_scorer_weight(self):
         with pytest.raises(ValueError):
@@ -239,6 +259,16 @@ class TestRescoreDfs:
             naive = rescore_nbest_naive(nbest, scorer)
             dfs = rescore_nbest_dfs(nbest, scorer)
             assert dfs.predict_calls < naive.predict_calls
+
+    def test_long_hypothesis_does_not_recurse(self):
+        long = tuple(1 + i % 3 for i in range(3000))
+        nbest = NBestList([(long, -1.0), (long[:1500] + (3, 3), -2.0),
+                           ((A,), -3.0)])
+        scorer = train_ngram([[1, 2, 3, 1], [3, 3, 2]], order=2)
+        naive = rescore_nbest_naive(nbest, scorer)
+        dfs = rescore_nbest_dfs(nbest, scorer)
+        assert naive.ranked == dfs.ranked
+        assert dfs.predict_calls <= naive.predict_calls
 
     def test_rejects_recorded_like_naive(self):
         lat = prepare(l1())

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latbeam
 from latbeam.cli import main
 from latbeam.posterior import PosteriorLattice
 from latbeam.wfsa import parse_symbols, parse_wfsa
@@ -23,6 +28,14 @@ def ws(tmp_path_factory):
                  "--out", str(root / "model.txt"),
                  "--symtab", str(root / "symtab.txt"), "--order", "2"]) == 0
     return root
+
+
+def run_cli(*args):
+    """Run the command line in a fresh interpreter, as a user would."""
+    src = str(Path(latbeam.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "latbeam.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
 
 
 def decode_args(ws, *extra):
@@ -234,6 +247,32 @@ class TestFailureModes:
                      "--symtab", str(ws / "symtab.txt"),
                      "--scorer", "table"]) == 1
         assert "--model" in capsys.readouterr().err
+
+    def test_rescore_bad_nbest_list_is_one_line_error(self, ws, tmp_path):
+        nbest = tmp_path / "bad.nbest"
+        symbols = parse_symbols((ws / "symtab.txt").read_text())
+        a, b = (symbols.sym_of(i) for i in symbols.ids()[:2])
+        for body, reason in (
+                (f"000 ||| {a} ||| -0.5\n000 ||| {a} ||| -0.7\n", "duplicate"),
+                (f"000 ||| {a} ||| -0.9\n000 ||| {b} ||| -0.2\n", "non-increasing")):
+            nbest.write_text(body)
+            proc = run_cli("rescore", nbest, "--symtab", ws / "symtab.txt")
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("latbeam: ")
+            assert len(proc.stderr.splitlines()) == 1
+            assert reason in proc.stderr
+            assert "list 000" in proc.stderr and str(nbest) in proc.stderr
+
+    def test_tune_reference_count_mismatch_is_one_line_error(self, ws, tmp_path):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("".join((ws / "refs.txt").read_text().splitlines(True)[:-1]))
+        proc = run_cli("tune", ws / "pushed", refs, "--symtab", ws / "symtab.txt",
+                       "--grid", "1")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("latbeam: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -32,6 +32,66 @@ def l1() -> Wfsa:
     return w
 
 
+class CountingScorer:
+    """Passes every call through to inner and counts predict and consume."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.predict_calls = self.consume_calls = 0
+
+    def start(self, source=None):
+        return self.inner.start(source)
+
+    def predict(self, state):
+        self.predict_calls += 1
+        return self.inner.predict(state)
+
+    def consume(self, state, token):
+        self.consume_calls += 1
+        return self.inner.consume(state, token)
+
+
+def reference_decode(lattice, scorer, cfg):
+    """Plain beam search: every candidate copies its prefix and consumes
+    eagerly; candidates sort on (-score, len(prefix), prefix).
+
+    Returns (best, beam) as (prefix, score, finished) triples.
+    """
+    key = lambda h: (-h[1], len(h[0]), h[0])
+    max_steps = cfg.max_steps or max(1, 3 * lattice.depth)
+    beam = [((), 0.0, False, lattice.start, scorer.start())]
+    best_finished = None
+    for _ in range(max_steps):
+        if beam[0][2]:
+            break
+        candidates = []
+        for hyp in beam:
+            prefix, score, finished, state, sstate = hyp
+            if finished:
+                candidates.append(hyp)
+                continue
+            pred = scorer.predict(sstate)
+            arcs, final_logprob = lattice.successors(state)
+            tokens = [s.token for s in arcs] if cfg.local_softmax else None
+            for succ in arcs:
+                candidates.append((prefix + (succ.token,),
+                                   score + joint_step_logprob(succ, pred, cfg, tokens),
+                                   False, succ.next_state,
+                                   scorer.consume(sstate, succ.token)))
+            if final_logprob != -math.inf:
+                end = cfg.lambda_lat * final_logprob if cfg.lambda_lat else 0.0
+                if cfg.lambda_scorer:
+                    end += cfg.lambda_scorer * pred.eos_logprob
+                done = (prefix, score + end, True, state, sstate)
+                candidates.append(done)
+                if best_finished is None or key(done) < key(best_finished):
+                    best_finished = done
+        candidates.sort(key=key)
+        beam = candidates[:cfg.beam]
+    best = beam[0] if beam[0][2] else best_finished
+    return best[:3], [h[:3] for h in beam]
+
+
 def table_over(rows, vocab):
     return TableScorer(rows, vocab=vocab)
 
@@ -146,12 +206,13 @@ class TestDecode:
         w.add_arc(1, B, 0.4, 2)
         w.set_final(2)
         lat = prepare(w)
-        result = decode(lat, UniformScorer({A, B}), DecoderConfig())
+        scorer = CountingScorer(UniformScorer({A, B}))
+        result = decode(lat, scorer, DecoderConfig())
         assert result.best.prefix == (A, B)
         assert result.best.finished
         # one expansion per emitted token plus one for the stop decision
         assert result.node_expansions == 3
-        assert result.node_expansions == result.scorer_predict_calls
+        assert result.node_expansions == scorer.predict_calls
         assert result.node_expansions >= len(result.best.prefix)
 
     def test_lattice_only_picks_cheapest_path(self):
@@ -273,13 +334,49 @@ class TestDecode:
 
     def test_expansions_equal_predict_calls(self):
         rng = random.Random(107)
-        scorer = train_ngram([[1, 2], [3, 4]], order=2)
+        model = train_ngram([[1, 2], [3, 4]], order=2)
         for _ in range(15):
             lat = prepare(random_acyclic_wfsa(rng, max_states=18))
             for flag in (False, True):
-                result = decode(lat, scorer,
-                                DecoderConfig(local_softmax=flag))
-                assert result.node_expansions == result.scorer_predict_calls
+                for beam in (1, 3, 12):
+                    scorer = CountingScorer(model)
+                    cfg = DecoderConfig(beam=beam, local_softmax=flag)
+                    result = decode(lat, scorer, cfg)
+                    assert result.node_expansions == scorer.predict_calls
+                    # every consumed hypothesis is expanded next, except
+                    # the live ones left in the final beam
+                    assert scorer.consume_calls <= scorer.predict_calls - 1 + beam
+
+    def test_ties_match_reference_search_at_narrow_beams(self):
+        # equal arc weights over three labels and a uniform scorer make
+        # equal scores common, so the tie-break decides most beams
+        rng = random.Random(131)
+        scorer = UniformScorer({1, 2, 3})
+        for _ in range(40):
+            lat = prepare(random_acyclic_wfsa(rng, max_states=10, n_labels=3,
+                                              cost_range=(1.0, 1.0),
+                                              final_fraction=0.4))
+            for beam in range(1, 6):
+                for flag in (False, True):
+                    for lam_lat, lam_scorer in ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0)):
+                        cfg = DecoderConfig(beam=beam, lambda_lat=lam_lat,
+                                            lambda_scorer=lam_scorer,
+                                            local_softmax=flag)
+                        want_best, want_beam = reference_decode(lat, scorer, cfg)
+                        got = decode(lat, scorer, cfg)
+                        assert (got.best.prefix, got.best.score,
+                                got.best.finished) == want_best
+                        assert [(h.prefix, h.score, h.finished)
+                                for h in got.beam] == want_beam
+
+    def test_long_prefix_is_rebuilt_from_back_pointers(self):
+        w = Wfsa()
+        for q in range(5000):
+            w.add_arc(q, 1 + q % 3, 0.0, q + 1)
+        w.set_final(5000)
+        lat = prepare(w)
+        result = decode(lat, UniformScorer({1, 2, 3}), DecoderConfig(beam=2))
+        assert result.best.prefix == tuple(1 + q % 3 for q in range(5000))
 
     def test_exhaustive_agreement_at_wide_beam(self):
         rng = random.Random(109)

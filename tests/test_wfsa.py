@@ -61,6 +61,12 @@ class TestSymbolTable:
         for sym in ("a", "b", "c", EPS_SYM):
             assert back.id_of(sym) == abc.id_of(sym)
 
+    def test_add_after_parse_takes_next_id_above_largest(self):
+        table = parse_symbols("<eps> 0\nz 5\n")
+        table.closed = False
+        assert table.add("new") == 6
+        assert table.add("newer") == 7
+
     def test_parse_requires_eps_zero(self):
         with pytest.raises(LatticeFormatError):
             parse_symbols("a 1\nb 2\n")
