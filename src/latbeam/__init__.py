@@ -5,6 +5,7 @@ external left-to-right scorer."""
 __version__ = "0.1.0"
 
 from .errors import (
+    ConfigError,
     CyclicLatticeError,
     EmptyLatticeError,
     EpsilonArcError,
@@ -36,7 +37,6 @@ from .wfsa import (
     validate,
 )
 from .ops import (
-    StageTimings,
     aggregate_strings,
     check_stochastic,
     connect,
@@ -46,7 +46,6 @@ from .ops import (
     equivalent_acyclic,
     minimize,
     n_shortest_strings,
-    pipeline_timed,
     push_log,
     rm_epsilon,
 )
@@ -56,7 +55,6 @@ from .posterior import (
     Successor,
     SuccessorSet,
     prepare,
-    prepare_timed,
 )
 from .scorers import (
     BOS_ID,

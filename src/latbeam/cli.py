@@ -31,8 +31,7 @@ from .baselines import (
 from .bleu import corpus_bleu, tune_grid
 from .decoder import DecoderConfig, decode
 from .errors import LatbeamError
-from .ops import StageTimings
-from .posterior import PosteriorLattice, prepare_timed
+from .posterior import STAGES, PosteriorLattice, prepare
 from .scorers import UniformScorer, load_ngram_model, load_table_scorer, train_ngram
 from .synth import build_demo, write_demo
 from .wfsa import (
@@ -92,12 +91,20 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8"), True
 
 
+def _read_posterior(path, symbols: SymbolTable) -> PosteriorLattice:
+    """A pushed lattice from disk, verified in full."""
+    inner = parse_wfsa(Path(path).read_text(encoding="utf-8"), symbols,
+                       semiring_tag=semiring.LOG)
+    return PosteriorLattice(inner)
+
+
 def _push_one(job):
     src, dst, symtab_path = job
     symbols = _load_symbols(symtab_path)
     try:
         raw = parse_wfsa(Path(src).read_text(encoding="utf-8"), symbols)
-        lattice, timings = prepare_timed(raw)
+        timings: dict[str, float] = {}
+        lattice = prepare(raw, stages=timings)
         Path(dst).write_text(serialize_wfsa(lattice.inner, symbols),
                              encoding="utf-8")
         return (Path(src).stem, None, timings)
@@ -112,16 +119,17 @@ def cmd_push(args) -> int:
             for f in _lattice_files(args.latdir)]
     results = _pmap(_push_one, jobs, args.workers)
     errors = 0
-    total = StageTimings(0.0, 0.0, 0.0)
+    total = dict.fromkeys(STAGES, 0.0)
     done = 0
     for ident, err, timings in results:
         if err is not None:
             errors += 1
             print(f"{ident}: {err}", file=sys.stderr)
         else:
-            total = total + timings
+            for stage, seconds in timings.items():
+                total[stage] += seconds
             done += 1
-    rows = total.rows()
+    rows = total.items()
     if args.json:
         for stage, seconds in rows:
             print(json.dumps({"stage": stage, "seconds": seconds,
@@ -139,9 +147,7 @@ def _decode_one(job):
     path, symtab_path, cfg, scorer = job
     symbols = _load_symbols(symtab_path)
     try:
-        inner = parse_wfsa(Path(path).read_text(encoding="utf-8"), symbols,
-                           semiring_tag=semiring.LOG)
-        lattice = PosteriorLattice(inner)
+        lattice = _read_posterior(path, symbols)
         result = decode(lattice, scorer, cfg)
         tokens = [symbols.sym_of(t) for t in result.best.prefix]
         return (Path(path).stem, None,
@@ -190,9 +196,7 @@ def _nbest_one(job):
     path, symtab_path, n = job
     symbols = _load_symbols(symtab_path)
     try:
-        inner = parse_wfsa(Path(path).read_text(encoding="utf-8"), symbols,
-                           semiring_tag=semiring.LOG)
-        lattice = PosteriorLattice(inner)
+        lattice = _read_posterior(path, symbols)
         nbest = nbest_from_posterior(lattice, n, source_id=Path(path).stem)
         lines = []
         for tokens, logprob in nbest.entries:
@@ -294,11 +298,7 @@ def _read_sentences(path) -> list[list[str]]:
 def cmd_tune(args) -> int:
     symbols = _load_symbols(args.symtab)
     scorer = _make_scorer(args, symbols)
-    lattices = []
-    for f in _lattice_files(args.latdir):
-        inner = parse_wfsa(f.read_text(encoding="utf-8"), symbols,
-                           semiring_tag=semiring.LOG)
-        lattices.append(PosteriorLattice(inner))
+    lattices = [_read_posterior(f, symbols) for f in _lattice_files(args.latdir)]
     references = [[symbols.id_of(t) for t in sent]
                   for sent in _read_sentences(args.refs)]
     if len(references) != len(lattices):
@@ -422,6 +422,9 @@ def _add_scorer_flags(sub):
                      default="uniform")
     sub.add_argument("--model", metavar="PATH",
                      help="model file for --scorer ngram/table")
+
+
+def _add_lambda_flags(sub):
     sub.add_argument("--lambda-lat", type=float, default=1.0, dest="lambda_lat")
     sub.add_argument("--lambda-scorer", type=float, default=1.0,
                      dest="lambda_scorer")
@@ -446,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("latdir", help="directory of pushed lattices")
     p.add_argument("--symtab", required=True)
     _add_scorer_flags(p)
+    _add_lambda_flags(p)
     p.add_argument("--beam", type=int, default=12)
     p.add_argument("--local-softmax", action="store_true", dest="local_softmax")
     p.add_argument("--workers", type=int, default=1)
@@ -466,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symtab", required=True)
     p.add_argument("--mode", choices=["naive", "dfs"], default="dfs")
     _add_scorer_flags(p)
+    _add_lambda_flags(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_rescore)

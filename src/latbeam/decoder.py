@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any
 
-from .errors import SearchError
+from .errors import ConfigError, SearchError
 from .posterior import PosteriorLattice
 from .scorers import Prediction, logsumexp
 
@@ -41,13 +41,13 @@ class DecoderConfig:
 
     def __post_init__(self):
         if self.beam < 1:
-            raise ValueError("beam must be at least 1")
+            raise ConfigError("beam must be at least 1")
         if self.lambda_lat < 0 or self.lambda_scorer < 0:
-            raise ValueError("lambdas must be non-negative")
+            raise ConfigError("lambdas must be non-negative")
         if self.lambda_lat == 0 and self.lambda_scorer == 0:
-            raise ValueError("at least one lambda must be positive")
+            raise ConfigError("at least one lambda must be positive")
         if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+            raise ConfigError("max_steps must be positive")
 
 
 @dataclass(slots=True, eq=False)

@@ -63,5 +63,9 @@ class ScorerFormatError(LatbeamError):
     pass
 
 
+class ConfigError(LatbeamError, ValueError):
+    """An invalid setting, such as a decoder beam below 1."""
+
+
 class SearchError(LatbeamError):
     """Beam search ran out of steps without completing a hypothesis."""

@@ -5,17 +5,18 @@ The operations compose into the standard preprocessing pipeline
 
     rm_epsilon -> determinize -> minimize -> push_log
 
-which turns an unnormalized lattice into a deterministic acceptor whose
-arc weights are negative conditional log-probabilities. The enumeration
-helpers at the bottom are deliberately naive; they exist as oracles for
-the efficient code paths and for desk-scale analysis.
+which posterior.prepare() runs to turn an unnormalized lattice into a
+deterministic acceptor whose arc weights are negative conditional
+log-probabilities. minimize, push_log and n_shortest_strings share one
+shortest-distance pass (_potentials), differing only in the semiring
+plus they hand it. The enumeration helpers at the bottom are deliberately
+naive; they exist as oracles for the efficient code paths and for
+desk-scale analysis.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from dataclasses import dataclass
 
 from . import semiring
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     SemiringError,
 )
 from .semiring import INF
-from .wfsa import EPS, Wfsa, _accessible, _coaccessible, topological_order
+from .wfsa import EPS, Arc, Wfsa, _accessible, _coaccessible, topological_order
 
 
 def _require_acyclic(w: Wfsa, op: str) -> list[int]:
@@ -36,6 +37,34 @@ def _require_acyclic(w: Wfsa, op: str) -> list[int]:
     if order is None:
         raise CyclicLatticeError(f"{op} requires an acyclic lattice")
     return order
+
+
+def _potentials(w: Wfsa, order: list[int], plus) -> list[float]:
+    """Shortest distance from every state to the final states.
+
+    The generic single-source algorithm (Mohri 2002) run backwards over a
+    topological order: each state's potential is the plus-sum, over its
+    arcs and its own final weight, of arc weight times the successor's
+    potential. Semiring times is float addition; INF marks states that
+    reach no final state.
+    """
+    potential = [INF] * w.num_states
+    for q in reversed(order):
+        acc = w.final_weight(q)
+        for arc in w.arcs_from(q):
+            acc = plus(acc, arc.weight + potential[arc.dst])
+        potential[q] = acc
+    return potential
+
+
+def _reweight(w: Wfsa, potential: list[float], tag: str) -> Wfsa:
+    """Move potentials onto arcs: w + p[dst] - p[src], finals f - p[q]."""
+    out = Wfsa(tag)
+    out.start = w.start
+    out.arcs = [[Arc(a.label, a.weight + potential[a.dst] - p, a.dst) for a in arcs]
+                for arcs, p in zip(w.arcs, potential)]
+    out.finals = {q: f - potential[q] for q, f in w.finals.items()}
+    return out
 
 
 def connect(w: Wfsa) -> Wfsa:
@@ -188,31 +217,15 @@ def minimize(w: Wfsa) -> Wfsa:
     w = connect(w)
     if not w.finals:
         return w
-    plus = semiring.plus_for(w.semiring)
     order = topological_order(w)
     assert order is not None
-
-    potential = [INF] * w.num_states
-    for q in reversed(order):
-        acc = w.final_weight(q)
-        for arc in w.arcs_from(q):
-            acc = plus(acc, semiring.times(arc.weight, potential[arc.dst]))
-        potential[q] = acc
-
-    pushed = Wfsa(w.semiring)
-    pushed.ensure_state(w.num_states - 1)
-    pushed.start = w.start
+    potential = _potentials(w, order, semiring.plus_for(w.semiring))
+    pushed = _reweight(w, potential, w.semiring)
     fold = potential[w.start]
-    for src, arc in w.iter_arcs():
-        weight = arc.weight + potential[arc.dst] - potential[src]
-        if src == w.start:
-            weight += fold
-        pushed.add_arc(src, arc.label, weight, arc.dst)
-    for q, f in w.finals.items():
-        weight = f - potential[q]
-        if q == w.start:
-            weight += fold
-        pushed.finals[q] = weight
+    pushed.arcs[w.start] = [Arc(a.label, a.weight + fold, a.dst)
+                            for a in pushed.arcs[w.start]]
+    if w.start in pushed.finals:
+        pushed.finals[w.start] += fold
     pushed.sort_arcs()
 
     klass: dict[int, int] = {}
@@ -266,25 +279,12 @@ def push_log(w: Wfsa) -> tuple[Wfsa, float]:
     infinite and the rewrite is undefined.
     """
     order = _require_acyclic(w, "push_log")
-    potential = [INF] * w.num_states
-    for q in reversed(order):
-        acc = w.final_weight(q)
-        for arc in w.arcs_from(q):
-            acc = semiring.log_add(acc, semiring.times(arc.weight, potential[arc.dst]))
-        potential[q] = acc
+    potential = _potentials(w, order, semiring.log_add)
     for q in range(w.num_states):
         if potential[q] == INF:
             raise NotCoaccessibleError(f"state {q} cannot reach a final state")
-
-    out = Wfsa(semiring.LOG)
-    out.ensure_state(max(w.num_states - 1, 0))
-    out.start = w.start
-    for src, arc in w.iter_arcs():
-        out.add_arc(src, arc.label,
-                    arc.weight + potential[arc.dst] - potential[src], arc.dst)
-    for q, f in w.finals.items():
-        out.finals[q] = f - potential[q]
-    return out, potential[w.start] if w.num_states else 0.0
+    return (_reweight(w, potential, semiring.LOG),
+            potential[w.start] if w.num_states else 0.0)
 
 
 def check_stochastic(w: Wfsa, tol: float = 1e-6) -> bool:
@@ -387,12 +387,7 @@ def n_shortest_strings(w: Wfsa, n: int) -> list[tuple[tuple[int, ...], float]]:
     order = _require_acyclic(w, "n_shortest_strings")
     if not w.num_states or n <= 0:
         return []
-    potential = [INF] * w.num_states
-    for q in reversed(order):
-        acc = w.final_weight(q)
-        for arc in w.arcs_from(q):
-            acc = semiring.trop_add(acc, arc.weight + potential[arc.dst])
-        potential[q] = acc
+    potential = _potentials(w, order, semiring.trop_add)
     if potential[w.start] == INF:
         return []
 
@@ -438,42 +433,3 @@ def equivalent_acyclic(a: Wfsa, b: Wfsa, tol: float = 1e-9,
         if not abs(ca - cb) <= tol:
             return False
     return True
-
-
-@dataclass(slots=True)
-class StageTimings:
-    """Wall-clock seconds for the three preprocessing stages."""
-
-    determinization: float
-    minimization: float
-    pushing: float
-
-    def rows(self):
-        return [
-            ("determinization", self.determinization),
-            ("minimization", self.minimization),
-            ("pushing", self.pushing),
-        ]
-
-    def __add__(self, other: "StageTimings") -> "StageTimings":
-        return StageTimings(
-            self.determinization + other.determinization,
-            self.minimization + other.minimization,
-            self.pushing + other.pushing,
-        )
-
-
-def pipeline_timed(w: Wfsa) -> tuple[Wfsa, float, StageTimings]:
-    """rm_epsilon + determinize + minimize + push_log with per-stage timing.
-
-    Epsilon removal is billed to the determinization stage. Returns the
-    pushed automaton, the stripped total weight, and the timings.
-    """
-    t0 = time.perf_counter()
-    step = determinize(rm_epsilon(w))
-    t1 = time.perf_counter()
-    step = minimize(step)
-    t2 = time.perf_counter()
-    pushed, total = push_log(step)
-    t3 = time.perf_counter()
-    return pushed, total, StageTimings(t1 - t0, t2 - t1, t3 - t2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +24,9 @@ from .wfsa import Wfsa, topological_order
 log = logging.getLogger(__name__)
 
 NEG_INF = -math.inf
+
+# the timed stages of prepare(), in pipeline order
+STAGES = ("determinization", "minimization", "pushing")
 
 
 class _Reject:
@@ -168,7 +172,7 @@ class PosteriorLattice:
         return lp + self._final_logprob[state]
 
 
-def prepare(raw: Wfsa, tol: float = 1e-6) -> PosteriorLattice:
+def prepare(raw: Wfsa, tol: float = 1e-6, stages: dict | None = None) -> PosteriorLattice:
     """Full preprocessing pipeline: raw lattice in, posterior lattice out.
 
     The input costs are read as unnormalized log masses, so epsilon
@@ -176,34 +180,26 @@ def prepare(raw: Wfsa, tol: float = 1e-6) -> PosteriorLattice:
     rather than keeping only the best one; pushing then normalizes the
     whole automaton. The stripped total (the negative log of the raw
     lattice's mass) is logged and kept on the result as raw_total.
+
+    When stages is given, the wall-clock seconds of each of STAGES are
+    added to it (epsilon removal is billed to determinization), so one
+    dict can sum the timings of many calls.
     """
-    lattice, total = _prepare_inner(raw)
-    log.info("pushed lattice: discarded total weight %.6f", total)
-    return PosteriorLattice(lattice, raw_total=total, tol=tol)
-
-
-def prepare_timed(raw: Wfsa, tol: float = 1e-6) -> tuple[PosteriorLattice, ops.StageTimings]:
-    """prepare() variant reporting per-stage wall-clock seconds."""
-    work = _as_mass(raw)
-    pushed, total, timings = ops.pipeline_timed(work)
-    log.info("pushed lattice: discarded total weight %.6f", total)
-    return PosteriorLattice(pushed, raw_total=total, tol=tol), timings
-
-
-def _as_mass(raw: Wfsa) -> Wfsa:
     if not raw.num_states:
         raise EmptyLatticeError("cannot prepare an empty lattice")
     work = raw.retagged(semiring.LOG)
-    if not work.finals:
-        raise EmptyLatticeError("lattice accepts nothing")
-    return work
-
-
-def _prepare_inner(raw: Wfsa) -> tuple[Wfsa, float]:
-    work = _as_mass(raw)
+    t0 = time.perf_counter()
     work = ops.rm_epsilon(work)
     if not work.finals:
         raise EmptyLatticeError("lattice accepts nothing")
     work = ops.determinize(work)
+    t1 = time.perf_counter()
     work = ops.minimize(work)
-    return ops.push_log(work)
+    t2 = time.perf_counter()
+    pushed, total = ops.push_log(work)
+    t3 = time.perf_counter()
+    if stages is not None:
+        for name, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
+            stages[name] = stages.get(name, 0.0) + seconds
+    log.info("pushed lattice: discarded total weight %.6f", total)
+    return PosteriorLattice(pushed, raw_total=total, tol=tol)

@@ -274,6 +274,44 @@ class TestFailureModes:
         assert proc.stderr.startswith("latbeam: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_push_unreachable_final_accepts_nothing(self, ws, tmp_path, capsys):
+        latdir = tmp_path / "lats"
+        latdir.mkdir()
+        for f in (ws / "lattices").glob("*.lat"):
+            (latdir / f.name).write_bytes(f.read_bytes())
+        symbols = parse_symbols((ws / "symtab.txt").read_text())
+        a, b = (symbols.sym_of(i) for i in symbols.ids()[:2])
+        # the final state 3 hangs off state 2, which the start cannot reach
+        (latdir / "orphan.lat").write_text(f"0 1 {a} 0.5\n2 3 {b} 0.5\n3 0\n")
+        out = tmp_path / "pushed"
+        assert main(["push", str(latdir), str(out),
+                     "--symtab", str(ws / "symtab.txt")]) == 1
+        assert "orphan: lattice accepts nothing" in capsys.readouterr().err
+        assert len(list(out.glob("*.lat"))) == 6
+
+    @pytest.mark.parametrize("command, flags", [
+        ("decode", ["--beam", "0"]),
+        ("decode", ["--lambda-lat", "-1"]),
+        ("tune", ["--beam", "0"]),
+        ("tune", ["--grid=-1:0:1"]),
+    ])
+    def test_invalid_decoder_setting_is_one_line_error(self, ws, command, flags):
+        args = [command, ws / "pushed"]
+        if command == "tune":
+            args.append(ws / "refs.txt")
+        proc = run_cli(*args, "--symtab", ws / "symtab.txt", *flags)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("latbeam: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_tune_takes_no_lambda_flags(self, ws, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", str(ws / "pushed"), str(ws / "refs.txt"),
+                  "--symtab", str(ws / "symtab.txt"), "--lambda-lat", "2"])
+        assert exc.value.code == 2
+        assert "--lambda-lat" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -25,7 +25,6 @@ from latbeam.ops import (
     equivalent_acyclic,
     minimize,
     n_shortest_strings,
-    pipeline_timed,
     push_log,
     rm_epsilon,
 )
@@ -462,20 +461,3 @@ class TestEquivalence:
             out = minimize(determinize(rm_epsilon(w)))
             assert equivalent_acyclic(w, out, tol=1e-9)
 
-
-class TestPipelineTimed:
-    def test_returns_three_stage_rows(self):
-        pushed, total, timings = pipeline_timed(l1())
-        stages = [name for name, _ in timings.rows()]
-        assert stages == ["determinization", "minimization", "pushing"]
-        assert all(t >= 0.0 for _, t in timings.rows())
-        assert check_stochastic(pushed)
-        assert total == pytest.approx(-math.log(math.exp(-0.7)
-                                                + math.exp(-1.6)), abs=1e-12)
-
-    def test_timings_add(self):
-        _, _, t1 = pipeline_timed(l1())
-        _, _, t2 = pipeline_timed(l1())
-        combined = t1 + t2
-        assert combined.determinization == pytest.approx(
-            t1.determinization + t2.determinization)

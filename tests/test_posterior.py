@@ -14,10 +14,10 @@ from latbeam.errors import (
     NotStochasticError,
     SemiringError,
 )
-from latbeam.ops import enumerate_paths, push_log
-from latbeam.posterior import REJECT, PosteriorLattice, prepare, prepare_timed
+from latbeam.ops import determinize, enumerate_paths, minimize, push_log, rm_epsilon
+from latbeam.posterior import REJECT, STAGES, PosteriorLattice, prepare
 from latbeam.synth import random_acyclic_wfsa
-from latbeam.wfsa import Wfsa
+from latbeam.wfsa import SymbolTable, Wfsa, serialize_wfsa
 
 A, B, C, Z = 1, 2, 3, 9
 
@@ -96,16 +96,46 @@ class TestPrepare:
             prepare(l1())
         assert any("discarded total" in rec.message for rec in caplog.records)
 
-    def test_prepare_timed_returns_stage_rows(self):
-        lat, timings = prepare_timed(l1())
-        assert [name for name, _ in timings.rows()] == [
+    def test_stages_dict_accumulates(self):
+        stages = {}
+        lat = prepare(l1(), stages=stages)
+        assert list(stages) == list(STAGES) == [
             "determinization", "minimization", "pushing"]
-        assert lat.raw_total == pytest.approx(0.3589, abs=1e-4)
+        assert all(seconds >= 0.0 for seconds in stages.values())
+        first = dict(stages)
+        again = prepare(l1(), stages=stages)
+        for name in STAGES:
+            assert stages[name] >= first[name]
+            assert stages[name] > 0.0
+        assert lat.raw_total == again.raw_total == pytest.approx(0.3589, abs=1e-4)
+
+    def test_same_bytes_as_composed_ops(self):
+        # the pipeline is exactly push_log(minimize(determinize(rm_epsilon())))
+        # on the log-retagged input; callers that time the stages one by
+        # one rely on getting the same automaton and total
+        symbols = SymbolTable()
+        for i in range(1, 9):
+            symbols.add(f"w{i}")
+        rng = random.Random(71)
+        for _ in range(40):
+            raw = random_acyclic_wfsa(rng, max_states=25, eps_fraction=0.2)
+            lat = prepare(raw)
+            pushed, total = push_log(minimize(determinize(rm_epsilon(
+                raw.retagged(semiring.LOG)))))
+            assert serialize_wfsa(lat.inner, symbols) == serialize_wfsa(pushed, symbols)
+            assert lat.inner.arcs == pushed.arcs
+            assert lat.inner.finals == pushed.finals
+            assert lat.raw_total == total
 
     def test_rejects_lattice_with_no_finals(self):
         w = Wfsa()
         w.add_arc(0, A, 0.5, 1)
         with pytest.raises(EmptyLatticeError):
+            prepare(w)
+        # a final state the start cannot reach leaves nothing accepted
+        w.add_arc(2, B, 0.5, 3)
+        w.set_final(3)
+        with pytest.raises(EmptyLatticeError, match="accepts nothing"):
             prepare(w)
 
     def test_rejects_cyclic_lattice(self):
