@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .decoder import DecoderConfig, DecodeResult, _beam_search
+from .decoder import DecoderConfig, DecodeResult, _beam_search, check_lambdas
 from .ops import n_shortest_strings
 from .posterior import REJECT, PosteriorLattice
 from .scorers import EOS_ID
@@ -117,8 +117,10 @@ def rescore_nbest_naive(nbest: NBestList, scorer, lambda_lat: float = 1.0,
     Costs length+1 predict calls per hypothesis (one per token plus the
     eos term). The lattice term is taken from the list; pass lattice to
     recompute it instead, in which case hypotheses the lattice rejects
-    are reported in rejected and left out of the ranking.
+    are reported in rejected and left out of the ranking. The lambdas
+    follow DecoderConfig's rules (check_lambdas).
     """
+    check_lambdas(lambda_lat, lambda_scorer)
     scorer_logprobs: dict[tuple[int, ...], float] = {}
     calls = 0
     for tokens, _ in nbest.entries:
@@ -149,6 +151,7 @@ def rescore_nbest_dfs(nbest: NBestList, scorer, lambda_lat: float = 1.0,
     soon as two hypotheses share a prefix. The ranking is identical to
     rescore_nbest_naive, term by term.
     """
+    check_lambdas(lambda_lat, lambda_scorer)
     trie: dict = {}
     for tokens, _ in nbest.entries:
         node = trie

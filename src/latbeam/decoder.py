@@ -31,6 +31,14 @@ from .scorers import Prediction, logsumexp
 NEG_INF = -math.inf
 
 
+def check_lambdas(lambda_lat: float, lambda_scorer: float) -> None:
+    """Both weights non-negative and at least one positive, else ConfigError."""
+    if not (lambda_lat >= 0 and lambda_scorer >= 0):
+        raise ConfigError("lambdas must be non-negative")
+    if lambda_lat == 0 and lambda_scorer == 0:
+        raise ConfigError("at least one lambda must be positive")
+
+
 @dataclass(slots=True)
 class DecoderConfig:
     beam: int = 12
@@ -42,10 +50,7 @@ class DecoderConfig:
     def __post_init__(self):
         if self.beam < 1:
             raise ConfigError("beam must be at least 1")
-        if self.lambda_lat < 0 or self.lambda_scorer < 0:
-            raise ConfigError("lambdas must be non-negative")
-        if self.lambda_lat == 0 and self.lambda_scorer == 0:
-            raise ConfigError("at least one lambda must be positive")
+        check_lambdas(self.lambda_lat, self.lambda_scorer)
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError("max_steps must be positive")
 

@@ -7,11 +7,14 @@ The operations compose into the standard preprocessing pipeline
 
 which posterior.prepare() runs to turn an unnormalized lattice into a
 deterministic acceptor whose arc weights are negative conditional
-log-probabilities. minimize, push_log and n_shortest_strings share one
-shortest-distance pass (_potentials), differing only in the semiring
-plus they hand it. The enumeration helpers at the bottom are deliberately
-naive; they exist as oracles for the efficient code paths and for
-desk-scale analysis.
+log-probabilities. Each stage writes its output arcs once, straight
+into the arc lists, and skips work its input does not need: rm_epsilon
+builds no closure for epsilon-free input, and connect returns a copy
+with the same numbering when it drops nothing. minimize, push_log and
+n_shortest_strings share one shortest-distance pass (_potentials),
+differing only in the semiring plus they hand it. The enumeration
+helpers at the bottom are deliberately naive; they exist as oracles
+for the efficient code paths and for desk-scale analysis.
 """
 
 from __future__ import annotations
@@ -49,41 +52,32 @@ def _potentials(w: Wfsa, order: list[int], plus) -> list[float]:
     reach no final state.
     """
     potential = [INF] * w.num_states
+    arcs, finals = w.arcs, w.finals
     for q in reversed(order):
-        acc = w.final_weight(q)
-        for arc in w.arcs_from(q):
+        acc = finals.get(q, INF)
+        for arc in arcs[q]:
             acc = plus(acc, arc.weight + potential[arc.dst])
         potential[q] = acc
     return potential
-
-
-def _reweight(w: Wfsa, potential: list[float], tag: str) -> Wfsa:
-    """Move potentials onto arcs: w + p[dst] - p[src], finals f - p[q]."""
-    out = Wfsa(tag)
-    out.start = w.start
-    out.arcs = [[Arc(a.label, a.weight + potential[a.dst] - p, a.dst) for a in arcs]
-                for arcs, p in zip(w.arcs, potential)]
-    out.finals = {q: f - potential[q] for q, f in w.finals.items()}
-    return out
 
 
 def connect(w: Wfsa) -> Wfsa:
     """Drop states that are not both accessible and coaccessible.
 
     The initial state survives even when the language is empty, so the
-    result is always a structurally valid automaton.
+    result is always a structurally valid automaton. When every state
+    survives, the result is a copy with the input's numbering.
     """
     keep = _accessible(w) & _coaccessible(w)
+    if len(keep) == w.num_states:
+        return w.copy()
     keep.add(w.start)
     old_order = sorted(keep)
     renum = {old: new for new, old in enumerate(old_order)}
     out = Wfsa(w.semiring)
-    out.ensure_state(len(old_order) - 1)
     out.start = renum[w.start]
-    for old in old_order:
-        for arc in w.arcs_from(old):
-            if arc.dst in keep:
-                out.add_arc(renum[old], arc.label, arc.weight, renum[arc.dst])
+    out.arcs = [[Arc(a.label, a.weight, renum[a.dst]) for a in w.arcs[old] if a.dst in keep]
+                for old in old_order]
     for old, weight in w.finals.items():
         if old in keep:
             out.finals[renum[old]] = weight
@@ -99,48 +93,45 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
     The result is trimmed.
     """
     plus = semiring.plus_for(w.semiring)
-    eps_only = Wfsa(w.semiring)
-    eps_only.ensure_state(max(w.num_states - 1, 0))
-    for src, arc in w.iter_arcs():
-        if arc.label == EPS:
-            eps_only.add_arc(src, arc.label, arc.weight, arc.dst)
-    eps_order = topological_order(eps_only)
-    if eps_order is None:
-        raise EpsilonCycleError("epsilon cycle detected")
-
     # closure[q]: total epsilon cost from q to every state it can reach
-    # through epsilon arcs alone, excluding q itself.
-    closure: list[dict[int, float]] = [dict() for _ in range(w.num_states)]
-    for q in reversed(eps_order):
-        acc: dict[int, float] = {}
-        for arc in eps_only.arcs_from(q):
-            step = {arc.dst: arc.weight}
-            for far, cost in closure[arc.dst].items():
-                step[far] = semiring.times(arc.weight, cost)
-            for state, cost in step.items():
-                acc[state] = plus(acc.get(state, INF), cost)
-        closure[q] = acc
+    # through epsilon arcs alone, excluding q itself; all empty (one
+    # shared dict, never written) when there is no epsilon arc.
+    closure: list[dict[int, float]] = [{}] * w.num_states
+    if w.has_epsilon():
+        eps_only = Wfsa(w.semiring)
+        eps_only.arcs = [[a for a in arcs if a.label == EPS] for arcs in w.arcs]
+        eps_order = topological_order(eps_only)
+        if eps_order is None:
+            raise EpsilonCycleError("epsilon cycle detected")
+        for q in reversed(eps_order):
+            acc: dict[int, float] = {}
+            for arc in eps_only.arcs[q]:
+                step = {arc.dst: arc.weight}
+                for far, cost in closure[arc.dst].items():
+                    step[far] = semiring.times(arc.weight, cost)
+                for state, cost in step.items():
+                    acc[state] = plus(acc.get(state, INF), cost)
+            closure[q] = acc
 
     out = Wfsa(w.semiring)
     out.ensure_state(max(w.num_states - 1, 0))
     out.start = w.start
+    finals = w.finals
     for src in range(w.num_states):
         merged: dict[tuple[int, int], float] = {}
-        reach = [(src, semiring.ONE)] + sorted(closure[src].items())
+        reach = sorted(closure[src].items())
+        for via, cost in [(src, semiring.ONE)] + reach:
+            for arc in w.arcs[via]:
+                if arc.label != EPS:
+                    key = (arc.label, arc.dst)
+                    merged[key] = plus(merged.get(key, INF), cost + arc.weight)
+        out.arcs[src] = [Arc(label, weight, dst)
+                         for (label, dst), weight in sorted(merged.items())]
+        final = finals.get(src, INF)
         for via, cost in reach:
-            for arc in w.arcs_from(via):
-                if arc.label == EPS:
-                    continue
-                key = (arc.label, arc.dst)
-                merged[key] = plus(merged.get(key, INF),
-                                   semiring.times(cost, arc.weight))
-        for (label, dst), weight in sorted(merged.items()):
-            out.add_arc(src, label, weight, dst)
-        final = w.final_weight(src)
-        for via, cost in sorted(closure[src].items()):
-            f = w.final_weight(via)
+            f = finals.get(via, INF)
             if f != INF:
-                final = plus(final, semiring.times(cost, f))
+                final = plus(final, cost + f)
         if final != INF:
             out.finals[src] = final
     return connect(out)
@@ -160,6 +151,7 @@ def determinize(w: Wfsa) -> Wfsa:
         raise EpsilonArcError("determinize requires an epsilon-free lattice")
     _require_acyclic(w, "determinize")
     plus = semiring.plus_for(w.semiring)
+    arcs, finals = w.arcs, w.finals
 
     out = Wfsa(w.semiring)
     out.add_state()
@@ -170,34 +162,34 @@ def determinize(w: Wfsa) -> Wfsa:
     while queue:
         key = queue.popleft()
         sid = index[key]
+        out_arcs = out.arcs[sid]
 
         final = INF
         for state, residual in key:
-            f = w.final_weight(state)
+            f = finals.get(state, INF)
             if f != INF:
-                final = plus(final, semiring.times(residual, f))
+                final = plus(final, residual + f)
         if final != INF:
             out.finals[sid] = final
 
         by_label: dict[int, dict[int, float]] = {}
         for state, residual in key:
-            for arc in w.arcs_from(state):
+            for arc in arcs[state]:
                 dests = by_label.setdefault(arc.label, {})
-                cost = semiring.times(residual, arc.weight)
-                dests[arc.dst] = plus(dests.get(arc.dst, INF), cost)
+                dests[arc.dst] = plus(dests.get(arc.dst, INF), residual + arc.weight)
         for label in sorted(by_label):
             dests = by_label[label]
             ordered = sorted(dests.items())
             total = INF
             for _, cost in ordered:
                 total = plus(total, cost)
-            new_key = tuple((dst, cost - total) for dst, cost in ordered)
+            new_key = tuple([(dst, cost - total) for dst, cost in ordered])
             nid = index.get(new_key)
             if nid is None:
                 nid = out.add_state()
                 index[new_key] = nid
                 queue.append(new_key)
-            out.add_arc(sid, label, total, nid)
+            out_arcs.append(Arc(label, total, nid))
     return out
 
 
@@ -213,27 +205,30 @@ def minimize(w: Wfsa) -> Wfsa:
     """
     if not w.is_deterministic():
         raise NotDeterministicError("minimize requires a deterministic lattice")
-    _require_acyclic(w, "minimize")
-    w = connect(w)
-    if not w.finals:
-        return w
-    order = topological_order(w)
-    assert order is not None
+    order = _require_acyclic(w, "minimize")
+    trimmed = connect(w)
+    if not trimmed.finals:
+        return trimmed
+    if trimmed.num_states != w.num_states:
+        order = topological_order(trimmed)
+    w = trimmed
     potential = _potentials(w, order, semiring.plus_for(w.semiring))
-    pushed = _reweight(w, potential, w.semiring)
-    fold = potential[w.start]
-    pushed.arcs[w.start] = [Arc(a.label, a.weight + fold, a.dst)
-                            for a in pushed.arcs[w.start]]
-    if w.start in pushed.finals:
-        pushed.finals[w.start] += fold
-    pushed.sort_arcs()
+    start, fold = w.start, potential[w.start]
+    # pushed arcs as (label, weight, dst) rows sorted by label, which is
+    # unique per state; only the merged automaton gets Arc objects
+    rows = [sorted([(a.label, a.weight + potential[a.dst] - p, a.dst) for a in arcs])
+            for arcs, p in zip(w.arcs, potential)]
+    rows[start] = [(label, weight + fold, dst) for label, weight, dst in rows[start]]
+    finals = {q: f - potential[q] for q, f in w.finals.items()}
+    if start in finals:
+        finals[start] += fold
 
-    klass: dict[int, int] = {}
+    klass = [0] * w.num_states
     by_signature: dict[tuple, int] = {}
     for q in reversed(order):
         signature = (
-            pushed.final_weight(q),
-            tuple((a.label, a.weight, klass[a.dst]) for a in pushed.arcs_from(q)),
+            finals.get(q, INF),
+            tuple([(label, weight, klass[dst]) for label, weight, dst in rows[q]]),
         )
         found = by_signature.get(signature)
         if found is None:
@@ -244,25 +239,26 @@ def minimize(w: Wfsa) -> Wfsa:
     out = Wfsa(w.semiring)
     out.add_state()
     out.start = 0
-    renum = {klass[pushed.start]: 0}
-    queue = deque([pushed.start])
-    seen_class = {klass[pushed.start]}
+    renum = {klass[start]: 0}
+    queue = deque([start])
+    seen_class = {klass[start]}
     while queue:
         rep = queue.popleft()
         sid = renum[klass[rep]]
-        f = pushed.final_weight(rep)
+        f = finals.get(rep, INF)
         if f != INF:
             out.finals[sid] = f
-        for arc in pushed.arcs_from(rep):
-            c = klass[arc.dst]
+        out_arcs = out.arcs[sid]
+        for label, weight, dst in rows[rep]:
+            c = klass[dst]
             nid = renum.get(c)
             if nid is None:
                 nid = out.add_state()
                 renum[c] = nid
             if c not in seen_class:
                 seen_class.add(c)
-                queue.append(arc.dst)
-            out.add_arc(sid, arc.label, arc.weight, nid)
+                queue.append(dst)
+            out_arcs.append(Arc(label, weight, nid))
     return out
 
 
@@ -283,8 +279,13 @@ def push_log(w: Wfsa) -> tuple[Wfsa, float]:
     for q in range(w.num_states):
         if potential[q] == INF:
             raise NotCoaccessibleError(f"state {q} cannot reach a final state")
-    return (_reweight(w, potential, semiring.LOG),
-            potential[w.start] if w.num_states else 0.0)
+    # potentials move onto arcs: w + p[dst] - p[src], finals f - p[q]
+    out = Wfsa(semiring.LOG)
+    out.start = w.start
+    out.arcs = [[Arc(a.label, a.weight + potential[a.dst] - p, a.dst) for a in arcs]
+                for arcs, p in zip(w.arcs, potential)]
+    out.finals = {q: f - potential[q] for q, f in w.finals.items()}
+    return out, potential[w.start] if w.num_states else 0.0
 
 
 def check_stochastic(w: Wfsa, tol: float = 1e-6) -> bool:
@@ -293,10 +294,11 @@ def check_stochastic(w: Wfsa, tol: float = 1e-6) -> bool:
     Mass is the log_add of all outgoing arc costs together with the
     state's final weight; stochastic means that total is 0 (= log 1).
     """
-    for q in sorted(_accessible(w)):
-        total = w.final_weight(q)
-        for arc in w.arcs_from(q):
-            total = semiring.log_add(total, arc.weight)
+    log_add, arcs, finals = semiring.log_add, w.arcs, w.finals
+    for q in _accessible(w):
+        total = finals.get(q, INF)
+        for arc in arcs[q]:
+            total = log_add(total, arc.weight)
         if not abs(total) <= tol:
             return False
     return True

@@ -14,16 +14,18 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import ops, semiring
-from .errors import EmptyLatticeError, NotDeterministicError, NotStochasticError, SemiringError
-from .semiring import INF
-from .wfsa import Wfsa, topological_order
+from .errors import (CyclicLatticeError, EmptyLatticeError, NotDeterministicError,
+                     NotStochasticError, SemiringError)
+from .wfsa import EPS, Wfsa, topological_order
 
 log = logging.getLogger(__name__)
 
 NEG_INF = -math.inf
+_label = attrgetter("label")
 
 # the timed stages of prepare(), in pipeline order
 STAGES = ("determinization", "minimization", "pushing")
@@ -77,32 +79,37 @@ class PosteriorLattice:
             raise EmptyLatticeError("posterior lattice has no states")
         order = topological_order(inner)
         if order is None:
-            from .errors import CyclicLatticeError
-
             raise CyclicLatticeError("posterior lattice must be acyclic")
-        if not inner.is_deterministic():
-            raise NotDeterministicError("posterior lattice must be deterministic")
+        n = inner.num_states
+        final_logprob = [NEG_INF] * n
+        for q, f in inner.finals.items():
+            final_logprob[q] = -f
+        # one label sort per state checks determinism (labels strictly
+        # increasing, none epsilon) and orders the lookup index
+        labels: list[list[int]] = [[]] * n
+        successors: list[tuple[Successor, ...]] = [()] * n
+        depth = [0] * n
+        for q in reversed(order):
+            arcs = sorted(inner.arcs[q], key=_label)
+            prev, d = EPS, 0
+            for a in arcs:
+                if a.label == prev or a.label == EPS:
+                    raise NotDeterministicError("posterior lattice must be deterministic")
+                prev = a.label
+                if depth[a.dst] >= d:
+                    d = depth[a.dst] + 1
+            depth[q] = d
+            labels[q] = [a.label for a in arcs]
+            successors[q] = tuple([Successor(a.label, -a.weight, a.dst, final_logprob[a.dst])
+                                   for a in arcs])
         if not ops.check_stochastic(inner, tol):
             raise NotStochasticError(
                 f"outgoing mass differs from 1 by more than {tol}")
         self.inner = inner
         self.raw_total = raw_total
-
-        self._final_logprob = [NEG_INF] * inner.num_states
-        for q, f in inner.finals.items():
-            self._final_logprob[q] = -f
-        self._labels: list[list[int]] = []
-        self._successors: list[tuple[Successor, ...]] = []
-        for q in range(inner.num_states):
-            arcs = sorted(inner.arcs_from(q), key=lambda a: a.label)
-            self._labels.append([a.label for a in arcs])
-            self._successors.append(tuple(
-                Successor(a.label, -a.weight, a.dst, self._final_logprob[a.dst])
-                for a in arcs))
-
-        depth = [0] * inner.num_states
-        for q in reversed(order):
-            depth[q] = max((1 + depth[a.dst] for a in inner.arcs_from(q)), default=0)
+        self._final_logprob = final_logprob
+        self._labels = labels
+        self._successors = successors
         self.depth = depth[inner.start]
 
     @property

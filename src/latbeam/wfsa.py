@@ -161,7 +161,9 @@ class Wfsa:
         return len(self.arcs) - 1
 
     def add_arc(self, src: int, label: int, weight: float, dst: int) -> None:
-        self.ensure_state(max(src, dst))
+        top = src if src > dst else dst
+        if top >= len(self.arcs):
+            self.ensure_state(top)
         self.arcs[src].append(Arc(label, weight, dst))
 
     def set_final(self, state: int, weight: float = 0.0) -> None:
@@ -184,7 +186,7 @@ class Wfsa:
             arcs.sort(key=lambda a: (a.label, a.dst, a.weight))
 
     def has_epsilon(self) -> bool:
-        return any(arc.label == EPS for _, arc in self.iter_arcs())
+        return any(arc.label == EPS for arcs in self.arcs for arc in arcs)
 
     def is_deterministic(self) -> bool:
         """No epsilon arcs and at most one arc per label out of each state."""
@@ -242,27 +244,38 @@ def parse_wfsa(text: str, symbols: SymbolTable,
     Repeated final lines for one state keep the last weight.
     """
     w = Wfsa(semiring_tag)
+    arcs = w.arcs
+    # a closed table is a plain dict lookup; an open one grows as we go
+    closed_ids = symbols._by_sym if symbols.closed else None
     saw_record = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         fields = line.split()
-        if len(fields) in (1, 2):
+        if not fields:
+            continue
+        n_fields = len(fields)
+        if n_fields <= 2:
             state = _parse_state(fields[0], lineno)
-            weight = _parse_weight(fields[1], lineno) if len(fields) == 2 else 0.0
-            w.ensure_state(state)
+            weight = _parse_weight(fields[1], lineno) if n_fields == 2 else 0.0
+            if state >= len(arcs):
+                w.ensure_state(state)
             w.finals[state] = weight
-        elif len(fields) in (3, 4):
+        elif n_fields <= 4:
             src = _parse_state(fields[0], lineno)
             dst = _parse_state(fields[1], lineno)
-            try:
-                label = symbols.id_of(fields[2]) if symbols.closed else symbols.add(fields[2])
-            except UnknownSymbolError:
-                raise UnknownSymbolError(
-                    f"unknown symbol {fields[2]!r}", line=lineno) from None
-            weight = _parse_weight(fields[3], lineno) if len(fields) == 4 else 0.0
-            w.add_arc(src, label, weight, dst)
+            if closed_ids is None:
+                label = symbols.add(fields[2])
+            else:
+                label = closed_ids.get(fields[2])
+                if label is None:
+                    raise UnknownSymbolError(
+                        f"unknown symbol {fields[2]!r}", line=lineno)
+            weight = _parse_weight(fields[3], lineno) if n_fields == 4 else 0.0
+            top = src if src > dst else dst
+            if top >= len(arcs):
+                w.ensure_state(top)
+            arcs[src].append(Arc(label, weight, dst))
         else:
             raise LatticeFormatError("expected 1, 2, 3 or 4 fields", line=lineno)
         if not saw_record:
@@ -330,8 +343,9 @@ def _accessible(w: Wfsa) -> set[int]:
 
 def _coaccessible(w: Wfsa) -> set[int]:
     rev: list[list[int]] = [[] for _ in range(w.num_states)]
-    for src, arc in w.iter_arcs():
-        rev[arc.dst].append(src)
+    for src, arcs in enumerate(w.arcs):
+        for arc in arcs:
+            rev[arc.dst].append(src)
     seen = set(w.finals)
     stack = list(w.finals)
     while stack:
@@ -347,17 +361,19 @@ def topological_order(w: Wfsa) -> list[int] | None:
     """States in topological order, or None when the graph has a cycle."""
     n = w.num_states
     indegree = [0] * n
-    for _, arc in w.iter_arcs():
-        indegree[arc.dst] += 1
+    for arcs in w.arcs:
+        for arc in arcs:
+            indegree[arc.dst] += 1
     ready = [q for q in range(n) if indegree[q] == 0]
     order: list[int] = []
     while ready:
         state = ready.pop()
         order.append(state)
-        for arc in w.arcs_from(state):
-            indegree[arc.dst] -= 1
-            if indegree[arc.dst] == 0:
-                ready.append(arc.dst)
+        for arc in w.arcs[state]:
+            dst = arc.dst
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                ready.append(dst)
     if len(order) != n:
         return None
     return order

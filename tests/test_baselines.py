@@ -14,6 +14,7 @@ from latbeam.baselines import (
     rescore_nbest_naive,
 )
 from latbeam.decoder import DecoderConfig
+from latbeam.errors import ConfigError
 from latbeam.ops import n_shortest_strings
 from latbeam.posterior import prepare
 from latbeam.scorers import (
@@ -207,6 +208,18 @@ class TestRescoreNaive:
         assert [e.tokens for e in result.ranked] == [(A, B)]
         assert result.ranked[0].lattice_logprob == pytest.approx(
             lat.accepted_logprob((A, B)), abs=1e-12)
+
+
+@pytest.mark.parametrize("rescore", [rescore_nbest_naive, rescore_nbest_dfs])
+@pytest.mark.parametrize("lambda_lat, lambda_scorer",
+                         [(-1.0, 0.0), (0.0, 0.0), (1.0, -0.5), (math.nan, 1.0)])
+def test_rescorers_refuse_invalid_lambdas(rescore, lambda_lat, lambda_scorer):
+    nbest = NBestList([((A, B), -0.3), ((B,), -0.9)])
+    with pytest.raises(ConfigError):
+        rescore(nbest, UniformScorer({A, B, C}), lambda_lat=lambda_lat,
+                lambda_scorer=lambda_scorer)
+    with pytest.raises(ConfigError):
+        DecoderConfig(lambda_lat=lambda_lat, lambda_scorer=lambda_scorer)
 
 
 class TestRescoreDfs:

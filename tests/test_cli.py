@@ -305,6 +305,21 @@ class TestFailureModes:
         assert proc.stderr.startswith("latbeam: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("lambdas", [("-1", "0"), ("0", "0")])
+    def test_rescore_invalid_lambdas_is_one_line_error(self, ws, tmp_path, capsys,
+                                                        lambdas):
+        nbest = tmp_path / "hyps.nbest"
+        assert main(["nbest", str(ws / "pushed"), "--symtab", str(ws / "symtab.txt"),
+                     "--nbest", "5", "--out", str(nbest)]) == 0
+        capsys.readouterr()
+        proc = run_cli("rescore", nbest, "--symtab", ws / "symtab.txt",
+                       "--lambda-lat", lambdas[0], "--lambda-scorer", lambdas[1])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("latbeam: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+
     def test_tune_takes_no_lambda_flags(self, ws, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tune", str(ws / "pushed"), str(ws / "refs.txt"),

@@ -30,7 +30,7 @@ from latbeam.ops import (
 )
 from latbeam.semiring import INF
 from latbeam.synth import random_acyclic_wfsa
-from latbeam.wfsa import EPS, Wfsa
+from latbeam.wfsa import EPS, Arc, Wfsa
 
 A, B, C, D = 1, 2, 3, 4
 
@@ -74,6 +74,24 @@ class TestConnect:
         out = connect(w)
         assert out.num_states == w.num_states
         assert string_costs(out) == string_costs(w)
+
+    def test_nothing_dropped_returns_independent_copy(self):
+        w = l1()
+        out = connect(w)
+        assert out is not w
+        assert (out.start, out.arcs, out.finals) == (w.start, w.arcs, w.finals)
+        assert all(mine is not theirs for mine, theirs in zip(out.arcs, w.arcs))
+        out.arcs[1].append(Arc(D, 0.5, 2))
+        out.add_arc(3, A, 0.5, 4)
+        out.set_final(4)
+        assert len(w.arcs[1]) == 2
+        assert w.num_states == 4
+        assert w.finals == {2: 0.0, 3: 0.0}
+
+    def test_stateless_automaton_stays_stateless(self):
+        for op in (connect, minimize):
+            out = op(Wfsa(semiring.LOG))
+            assert (out.num_states, out.finals) == (0, {})
 
 
 class TestRmEpsilon:
@@ -120,6 +138,25 @@ class TestRmEpsilon:
         out = rm_epsilon(w)
         want = -math.log(math.exp(-0.2) + math.exp(-0.9))
         assert string_costs(out)[(A,)] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("tag, plus", [(semiring.TROPICAL, min),
+                                           (semiring.LOG, semiring.log_add)])
+    def test_epsilon_free_input_pools_sorts_and_trims(self, tag, plus):
+        w = Wfsa(tag)
+        w.add_arc(0, B, 0.5, 2)
+        w.add_arc(0, A, 2.0, 2)
+        w.add_arc(0, A, 0.3, 1)
+        w.add_arc(0, A, 1.0, 2)
+        w.add_arc(3, A, 0.1, 2)   # state 3 is unreachable
+        w.set_final(1)
+        w.set_final(2, 0.25)
+        out = rm_epsilon(w)
+        assert out.num_states == 3
+        assert out.arcs[0] == [Arc(A, 0.3, 1), Arc(A, plus(2.0, 1.0), 2),
+                               Arc(B, 0.5, 2)]
+        assert out.arcs[1] == out.arcs[2] == []
+        assert out.finals == {1: 0.0, 2: 0.25}
+        assert len(w.arcs[0]) == 4 and w.num_states == 4
 
     def test_epsilon_cycle_rejected(self):
         w = Wfsa()

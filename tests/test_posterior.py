@@ -1,5 +1,6 @@
 """PosteriorLattice: the pushed lattice as a conditional token distribution."""
 
+import hashlib
 import logging
 import math
 import random
@@ -16,8 +17,8 @@ from latbeam.errors import (
 )
 from latbeam.ops import determinize, enumerate_paths, minimize, push_log, rm_epsilon
 from latbeam.posterior import REJECT, STAGES, PosteriorLattice, prepare
-from latbeam.synth import random_acyclic_wfsa
-from latbeam.wfsa import SymbolTable, Wfsa, serialize_wfsa
+from latbeam.synth import build_demo, random_acyclic_wfsa, sausage_lattice
+from latbeam.wfsa import EPS, SymbolTable, Wfsa, serialize_wfsa
 
 A, B, C, Z = 1, 2, 3, 9
 
@@ -147,6 +148,50 @@ class TestPrepare:
             prepare(w)
 
 
+def _two_arc_lattice(n_states: int, rng: random.Random) -> Wfsa:
+    # the lattice of acceptance criterion 12: two arcs per position
+    w = Wfsa(semiring.TROPICAL)
+    w.ensure_state(n_states - 1)
+    for q in range(n_states - 1):
+        w.add_arc(q, rng.randint(1, 20), rng.uniform(0.0, 2.0), q + 1)
+        w.add_arc(q, rng.randint(1, 20), rng.uniform(0.0, 2.0), q + 1)
+    w.set_final(n_states - 1, 0.0)
+    return w
+
+
+def _numbered(n: int) -> SymbolTable:
+    return SymbolTable.from_tokens(f"t{i:02d}" for i in range(1, n + 1))
+
+
+def _golden_inputs(name):
+    if name == "demo":
+        demo = build_demo(seed=13, n_sentences=50)
+        return demo.lattices, demo.symbols
+    if name == "sausage":
+        return [sausage_lattice(2000, seed=13)], _numbered(40)
+    return [_two_arc_lattice(1000, random.Random(14))], _numbered(20)
+
+
+class TestPinnedBytes:
+    """prepare() output pinned by digest, so a rewrite inside ops that
+    moves a single float in the last place fails here."""
+
+    @pytest.mark.parametrize("name, digest", [
+        # epsilons, skip arcs and detours
+        ("demo", "12012b080a43b3093988a612686c38db92b4a2803f96dc5ec084c0234ef0bfcc"),
+        ("sausage", "0dcc1255cf38fcfb7b02dd3864d4be5868c0c3cfca0525ecadcd1678f49bb0ce"),
+        ("two_arc", "5560e280a6758a19ffb6edb70ea832c9db1beef10e0a8e1fdcaf336a8d24d53d"),
+    ], ids=["demo", "sausage", "two_arc"])
+    def test_prepare_bytes_unchanged(self, name, digest):
+        raws, symbols = _golden_inputs(name)
+        h = hashlib.sha256()
+        for raw in raws:
+            lat = prepare(raw)
+            h.update(serialize_wfsa(lat.inner, symbols).encode())
+            h.update(f"{lat.raw_total!r}\n".encode())
+        assert h.hexdigest() == digest
+
+
 class TestValidation:
     def test_accepts_pushed_lattice(self):
         pushed, _ = push_log(l1())
@@ -175,6 +220,49 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(EmptyLatticeError):
             PosteriorLattice(Wfsa(semiring.LOG))
+
+    def test_cycle_reported_before_nondeterminism(self):
+        w = Wfsa(semiring.LOG)
+        half = -math.log(0.5)
+        w.add_arc(0, A, half, 1)
+        w.add_arc(0, A, half, 1)
+        w.add_arc(1, B, 0.0, 0)
+        w.set_final(1)
+        with pytest.raises(CyclicLatticeError):
+            PosteriorLattice(w)
+
+    def test_nondeterminism_reported_before_mass(self):
+        w = Wfsa(semiring.LOG)
+        w.add_arc(0, A, 3.0, 1)
+        w.add_arc(0, A, 4.0, 2)
+        w.set_final(1)
+        w.set_final(2)
+        with pytest.raises(NotDeterministicError):
+            PosteriorLattice(w)
+
+    def test_rejects_epsilon_arc(self):
+        # stochastic and single-labelled, but the label is epsilon
+        w = Wfsa(semiring.LOG)
+        w.add_arc(0, EPS, 0.0, 1)
+        w.set_final(1)
+        with pytest.raises(NotDeterministicError):
+            PosteriorLattice(w)
+
+    def test_unreachable_state_need_not_be_stochastic(self):
+        w = Wfsa(semiring.LOG)
+        w.add_arc(0, A, 0.0, 1)
+        w.add_arc(2, B, 5.0, 1)   # state 2: unreachable, mass far from 1
+        w.set_final(1)
+        lat = PosteriorLattice(w)
+        assert lat.walk((A,)) == 1
+        assert lat.depth == 1
+
+    def test_depth_matches_enumeration(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            lat = prepare(random_acyclic_wfsa(rng, max_states=15, eps_fraction=0.1))
+            longest = max(len(tokens) for tokens, _ in enumerate_paths(lat.inner))
+            assert lat.depth == longest
 
 
 class TestQueries:

@@ -7,7 +7,8 @@ import pytest
 
 from latbeam import semiring
 from latbeam.errors import LatticeFormatError, UnknownSymbolError
-from latbeam.synth import random_acyclic_wfsa
+from latbeam.posterior import PosteriorLattice, prepare
+from latbeam.synth import build_demo, random_acyclic_wfsa
 from latbeam.wfsa import (
     EPS,
     EPS_SYM,
@@ -134,6 +135,37 @@ class TestParseWfsa:
         assert w.arcs_from(0)[0].weight == -2.5
         assert w.final_weight(1) == -0.1
 
+    def test_comment_mid_line_and_blank_lines(self, abc):
+        text = ("\n0 1 a 0.5 # arc note\n#only a comment\n   \n"
+                "1 2 b#glued\n\t\n2 0.25 # final\n")
+        w = parse_wfsa(text, abc)
+        assert [(a.label, a.weight, a.dst) for a in w.arcs_from(0)] == [(1, 0.5, 1)]
+        assert [(a.label, a.weight, a.dst) for a in w.arcs_from(1)] == [(2, 0.0, 2)]
+        assert w.finals == {2: 0.25}
+        with pytest.raises(LatticeFormatError, match="line 3"):
+            parse_wfsa("0 1 a 0.5\n# c\n1 2 b 0.5 x # c\n2\n", abc)
+
+    def test_unknown_symbol_reports_its_line_when_closed(self, abc):
+        abc.close()
+        with pytest.raises(UnknownSymbolError, match=r"line 3: unknown symbol 'zzz'") as exc:
+            parse_wfsa("0 1 a 0.5\n\n1 2 zzz 0.5\n2\n", abc)
+        assert exc.value.line == 3
+
+    def test_open_table_grows_while_parsing(self, abc):
+        w = parse_wfsa("0 1 d 0.5\n1 2 a\n2 3 e 1.0\n3 4 d\n4\n", abc)
+        assert abc.id_of("d") == 4 and abc.id_of("e") == 5
+        assert [w.arcs_from(q)[0].label for q in range(4)] == [4, 1, 5, 4]
+        assert len(abc) == 6 and not abc.closed
+
+    def test_states_out_of_order_and_finals_first(self, abc):
+        w = parse_wfsa("5 0.5\n2 5 a 1.0\n7\n0 2 b 0.5\n", abc)
+        assert w.start == 5
+        assert w.num_states == 8
+        assert w.finals == {5: 0.5, 7: 0.0}
+        assert [(a.label, a.dst) for a in w.arcs_from(2)] == [(1, 5)]
+        assert [(a.label, a.dst) for a in w.arcs_from(0)] == [(2, 2)]
+        assert all(not w.arcs_from(q) for q in (1, 3, 4, 5, 6, 7))
+
 
 class TestSerializeWfsa:
     def test_round_trip_four_state(self, abc):
@@ -153,6 +185,14 @@ class TestSerializeWfsa:
             text = serialize_wfsa(w, abc)
             again = serialize_wfsa(parse_wfsa(text, abc), abc)
             assert text == again
+
+    def test_pushed_demo_lattice_is_fixed_point(self):
+        demo = build_demo(seed=13, n_sentences=8)
+        for raw in demo.lattices:
+            text = serialize_wfsa(prepare(raw).inner, demo.symbols)
+            back = parse_wfsa(text, demo.symbols, semiring.LOG)
+            assert serialize_wfsa(back, demo.symbols) == text
+            PosteriorLattice(back)
 
     def test_start_final_only_lattice(self, abc):
         w = Wfsa()
