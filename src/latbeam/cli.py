@@ -6,7 +6,8 @@ Hypothesis text goes to --out (default stdout); progress and per-item
 errors go to stderr. With --json, machine-readable JSON lines replace
 the plain hypothesis output. Exit status is 0 only when every work item
 succeeded. File-level work is deterministic, so --workers never changes
-any output byte.
+any output byte. With --workers, each worker process loads the symbol
+table and scorer once, and the pool never has more processes than files.
 
 The LG_SEED environment variable fixes the seed of the demo generator
 (the --seed flag wins when given).
@@ -15,10 +16,13 @@ The LG_SEED environment variable fixes the seed of the demo generator
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -48,28 +52,18 @@ def _load_symbols(path: str) -> SymbolTable:
     return parse_symbols(Path(path).read_text(encoding="utf-8"))
 
 
-def _lattice_files(directory: str) -> list[Path]:
-    files = sorted(Path(directory).glob("*.lat"))
-    if not files:
-        raise LatbeamError(f"no .lat files under {directory}")
-    return files
-
-
 def _make_scorer(args, symbols: SymbolTable):
     if args.scorer == "uniform":
         return UniformScorer(symbols.ids())
     if args.model is None:
         raise LatbeamError(f"--scorer {args.scorer} needs --model")
-    # scorer files may mention words beyond the lattice vocabulary; let
-    # them extend the table rather than fail the whole run
-    was_closed = symbols.closed
-    symbols.closed = False
-    try:
-        if args.scorer == "ngram":
-            return load_ngram_model(args.model, symbols)
-        return load_table_scorer(args.model, symbols)
-    finally:
-        symbols.closed = was_closed
+    # scorer files may mention words beyond the lattice vocabulary; they
+    # extend an open copy, never the table lattices are read with
+    vocab = copy.deepcopy(symbols)
+    vocab.closed = False
+    if args.scorer == "ngram":
+        return load_ngram_model(args.model, vocab)
+    return load_table_scorer(args.model, vocab)
 
 
 def _decoder_config(args) -> DecoderConfig:
@@ -78,57 +72,103 @@ def _decoder_config(args) -> DecoderConfig:
                          local_softmax=args.local_softmax)
 
 
-def _pmap(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _output(path: str):
+    """The --out stream as a context manager; '-' is stdout, left open."""
+    if path == "-":
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
-def _read_posterior(path, symbols: SymbolTable) -> PosteriorLattice:
+def _attempt(fn, path: Path, context: dict):
+    """(None, payload) of fn(path, **context), or (message, None) on failure."""
+    try:
+        return None, fn(path, **context)
+    except LatbeamError as exc:
+        return str(exc), None
+
+
+_worker_context: dict = {}     # filled once in each pool process by _init_worker
+
+
+def _init_worker(context: dict) -> None:
+    _worker_context.update(context)
+
+
+def _attempt_in_worker(fn, path: Path):
+    return _attempt(fn, path, _worker_context)
+
+
+def _outcomes(fn, files: list[Path], workers: int, context: dict):
+    """(path, (error, payload)) for each file, in file order."""
+    if workers == 1:
+        yield from zip(files, map(partial(_attempt, fn, context=context), files))
+        return
+    # about four chunks per worker: few round trips, even load
+    chunksize = max(1, len(files) // (4 * workers))
+    with ProcessPoolExecutor(workers, initializer=_init_worker,
+                             initargs=(context,)) as pool:
+        yield from zip(files, pool.map(partial(_attempt_in_worker, fn), files,
+                                       chunksize=chunksize))
+
+
+class _Batch:
+    """fn(path, **context) for each .lat file under latdir, in file order.
+
+    Iterating yields (id, payload) for each file that succeeded and prints
+    `id: message` to stderr for each that failed, in place. The context is
+    what every file shares; with workers it reaches each pool process once,
+    through the initializer, and the pool has at most one process per file.
+    """
+
+    def __init__(self, fn, latdir: str, workers: int = 1, **context):
+        files = sorted(Path(latdir).glob("*.lat"))
+        if not files:
+            raise LatbeamError(f"no .lat files under {latdir}")
+        self.outcomes = _outcomes(fn, files, min(workers, len(files)), context)
+        self.status = 0     # the exit code: 0 only when every file succeeded
+
+    def __iter__(self):
+        for path, (error, payload) in self.outcomes:
+            if error is None:
+                yield path.stem, payload
+            else:
+                self.status = 1
+                print(f"{path.stem}: {error}", file=sys.stderr)
+
+
+def _read_posterior(path: Path, symbols: SymbolTable) -> PosteriorLattice:
     """A pushed lattice from disk, verified in full."""
-    inner = parse_wfsa(Path(path).read_text(encoding="utf-8"), symbols,
+    inner = parse_wfsa(path.read_text(encoding="utf-8"), symbols,
                        semiring_tag=semiring.LOG)
     return PosteriorLattice(inner)
 
 
-def _push_one(job):
-    src, dst, symtab_path = job
-    symbols = _load_symbols(symtab_path)
-    try:
-        raw = parse_wfsa(Path(src).read_text(encoding="utf-8"), symbols)
-        timings: dict[str, float] = {}
-        lattice = prepare(raw, stages=timings)
-        Path(dst).write_text(serialize_wfsa(lattice.inner, symbols),
-                             encoding="utf-8")
-        return (Path(src).stem, None, timings)
-    except LatbeamError as exc:
-        return (Path(src).stem, str(exc), None)
+def _push_file(path: Path, symbols: SymbolTable, outdir: Path) -> dict[str, float]:
+    raw = parse_wfsa(path.read_text(encoding="utf-8"), symbols)
+    timings: dict[str, float] = {}
+    lattice = prepare(raw, stages=timings)
+    (outdir / path.name).write_text(serialize_wfsa(lattice.inner, symbols),
+                                    encoding="utf-8")
+    return timings
 
 
 def cmd_push(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = [(str(f), str(outdir / f.name), args.symtab)
-            for f in _lattice_files(args.latdir)]
-    results = _pmap(_push_one, jobs, args.workers)
-    errors = 0
+    batch = _Batch(_push_file, args.latdir, args.workers,
+                   symbols=_load_symbols(args.symtab), outdir=outdir)
     total = dict.fromkeys(STAGES, 0.0)
     done = 0
-    for ident, err, timings in results:
-        if err is not None:
-            errors += 1
-            print(f"{ident}: {err}", file=sys.stderr)
-        else:
-            for stage, seconds in timings.items():
-                total[stage] += seconds
-            done += 1
+    for _, timings in batch:
+        for stage, seconds in timings.items():
+            total[stage] += seconds
+        done += 1
     rows = total.items()
     if args.json:
         for stage, seconds in rows:
@@ -140,39 +180,24 @@ def cmd_push(args) -> int:
         for stage, seconds in rows:
             rate = f"{done / seconds:9.1f}" if seconds > 0 else "      inf"
             print(f"{stage:<16} {seconds:9.3f} {rate}", file=sys.stderr)
-    return 1 if errors else 0
+    return batch.status
 
 
-def _decode_one(job):
-    path, symtab_path, cfg, scorer = job
-    symbols = _load_symbols(symtab_path)
-    try:
-        lattice = _read_posterior(path, symbols)
-        result = decode(lattice, scorer, cfg)
-        tokens = [symbols.sym_of(t) for t in result.best.prefix]
-        return (Path(path).stem, None,
-                (tokens, result.best.score, result.node_expansions))
-    except LatbeamError as exc:
-        return (Path(path).stem, str(exc), None)
+def _decode_file(path: Path, symbols: SymbolTable, scorer, cfg: DecoderConfig):
+    result = decode(_read_posterior(path, symbols), scorer, cfg)
+    tokens = [symbols.sym_of(t) for t in result.best.prefix]
+    return tokens, result.best.score, result.node_expansions
 
 
 def cmd_decode(args) -> int:
     symbols = _load_symbols(args.symtab)
     scorer = _make_scorer(args, symbols)
     cfg = _decoder_config(args)
-    jobs = [(str(f), args.symtab, cfg, scorer)
-            for f in _lattice_files(args.latdir)]
-    results = _pmap(_decode_one, jobs, args.workers)
-    out, close_out = _open_out(args.out)
-    errors = 0
+    batch = _Batch(_decode_file, args.latdir, args.workers,
+                   symbols=symbols, scorer=scorer, cfg=cfg)
     expansions = []
-    try:
-        for ident, err, payload in results:
-            if err is not None:
-                errors += 1
-                print(f"{ident}: {err}", file=sys.stderr)
-                continue
-            tokens, score, n_exp = payload
+    with _output(args.out) as out:
+        for ident, (tokens, score, n_exp) in batch:
             expansions.append(n_exp)
             if args.json:
                 out.write(json.dumps({"id": ident, "tokens": tokens,
@@ -182,49 +207,31 @@ def cmd_decode(args) -> int:
                 out.write(" ".join(tokens) + "\n")
                 print(f"{ident}: score {score:.6f}, expansions {n_exp}",
                       file=sys.stderr)
-    finally:
-        if close_out:
-            out.close()
     if expansions:
         mean = sum(expansions) / len(expansions)
         print(f"decoded {len(expansions)} sentences, "
               f"mean node expansions {mean:.1f}", file=sys.stderr)
-    return 1 if errors else 0
+    return batch.status
 
 
-def _nbest_one(job):
-    path, symtab_path, n = job
-    symbols = _load_symbols(symtab_path)
-    try:
-        lattice = _read_posterior(path, symbols)
-        nbest = nbest_from_posterior(lattice, n, source_id=Path(path).stem)
-        lines = []
-        for tokens, logprob in nbest.entries:
-            text = " ".join(symbols.sym_of(t) for t in tokens)
-            lines.append(f"{nbest.source_id} ||| {text} ||| {logprob!r}")
-        return (Path(path).stem, None, lines)
-    except LatbeamError as exc:
-        return (Path(path).stem, str(exc), None)
+def _nbest_file(path: Path, symbols: SymbolTable, n: int) -> list[str]:
+    nbest = nbest_from_posterior(_read_posterior(path, symbols), n,
+                                 source_id=path.stem)
+    lines = []
+    for tokens, logprob in nbest.entries:
+        text = " ".join(symbols.sym_of(t) for t in tokens)
+        lines.append(f"{nbest.source_id} ||| {text} ||| {logprob!r}")
+    return lines
 
 
 def cmd_nbest(args) -> int:
-    jobs = [(str(f), args.symtab, args.nbest)
-            for f in _lattice_files(args.latdir)]
-    results = _pmap(_nbest_one, jobs, args.workers)
-    out, close_out = _open_out(args.out)
-    errors = 0
-    try:
-        for ident, err, lines in results:
-            if err is not None:
-                errors += 1
-                print(f"{ident}: {err}", file=sys.stderr)
-                continue
+    batch = _Batch(_nbest_file, args.latdir, args.workers,
+                   symbols=_load_symbols(args.symtab), n=args.nbest)
+    with _output(args.out) as out:
+        for _, lines in batch:
             for line in lines:
                 out.write(line + "\n")
-    finally:
-        if close_out:
-            out.close()
-    return 1 if errors else 0
+    return batch.status
 
 
 def _read_nbest_file(path, symbols) -> list[NBestList]:
@@ -259,16 +266,12 @@ def cmd_rescore(args) -> int:
     symbols = _load_symbols(args.symtab)
     scorer = _make_scorer(args, symbols)
     rescore = rescore_nbest_dfs if args.mode == "dfs" else rescore_nbest_naive
-    out, close_out = _open_out(args.out)
     total_calls = 0
     n_lists = 0
-    try:
+    with _output(args.out) as out:
         for nbest in _read_nbest_file(args.nbest_file, symbols):
             result = rescore(nbest, scorer, lambda_lat=args.lambda_lat,
                              lambda_scorer=args.lambda_scorer)
-            if not result.ranked:
-                print(f"{nbest.source_id}: nothing to rescore", file=sys.stderr)
-                continue
             best = result.ranked[0]
             total_calls += result.predict_calls
             n_lists += 1
@@ -281,9 +284,6 @@ def cmd_rescore(args) -> int:
                     sort_keys=True) + "\n")
             else:
                 out.write(" ".join(tokens) + "\n")
-    finally:
-        if close_out:
-            out.close()
     if n_lists:
         print(f"rescored {n_lists} lists ({args.mode}), "
               f"mean predict calls {total_calls / n_lists:.1f}", file=sys.stderr)
@@ -298,7 +298,10 @@ def _read_sentences(path) -> list[list[str]]:
 def cmd_tune(args) -> int:
     symbols = _load_symbols(args.symtab)
     scorer = _make_scorer(args, symbols)
-    lattices = [_read_posterior(f, symbols) for f in _lattice_files(args.latdir)]
+    batch = _Batch(_read_posterior, args.latdir, symbols=symbols)
+    lattices = [lattice for _, lattice in batch]
+    if batch.status:
+        return batch.status
     references = [[symbols.id_of(t) for t in sent]
                   for sent in _read_sentences(args.refs)]
     if len(references) != len(lattices):
@@ -358,18 +361,14 @@ def cmd_bleu(args) -> int:
     return 0
 
 
+def _stats_file(path: Path, symbols: SymbolTable):
+    return validate(parse_wfsa(path.read_text(encoding="utf-8"), symbols))
+
+
 def cmd_stats(args) -> int:
     symbols = _load_symbols(args.symtab)
-    rows = []
-    errors = 0
-    for f in _lattice_files(args.latdir):
-        try:
-            w = parse_wfsa(f.read_text(encoding="utf-8"), symbols)
-        except LatbeamError as exc:
-            errors += 1
-            print(f"{f.stem}: {exc}", file=sys.stderr)
-            continue
-        rows.append((f.stem, validate(w)))
+    batch = _Batch(_stats_file, args.latdir, symbols=symbols)
+    rows = list(batch)
     if args.json:
         for ident, report in rows:
             print(json.dumps({"id": ident, "states": report.n_states,
@@ -389,7 +388,7 @@ def cmd_stats(args) -> int:
         if rows:
             mean = sum(r.arcs_per_state for _, r in rows) / len(rows)
             print(f"mean arcs/state {mean:.2f}")
-    return 1 if errors else 0
+    return batch.status
 
 
 def cmd_train(args) -> int:
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("latdir")
     p.add_argument("outdir")
     p.add_argument("--symtab", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_push)
 
@@ -452,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lambda_flags(p)
     p.add_argument("--beam", type=int, default=12)
     p.add_argument("--local-softmax", action="store_true", dest="local_softmax")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_decode)
@@ -461,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("latdir")
     p.add_argument("--symtab", required=True)
     p.add_argument("--nbest", type=int, default=100, metavar="N")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_nbest)
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import latbeam
+from latbeam import cli
 from latbeam.cli import main
 from latbeam.posterior import PosteriorLattice
 from latbeam.wfsa import parse_symbols, parse_wfsa
@@ -331,3 +333,192 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def with_bad_lattice(src, dst):
+    """Copy src's lattices into dst and add 002b.lat, which sorts between
+    002 and 003 and has arcs but no final state."""
+    dst.mkdir()
+    for f in src.glob("*.lat"):
+        (dst / f.name).write_bytes(f.read_bytes())
+    arcs = [line for line in (src / "002.lat").read_text().splitlines()
+            if len(line.split()) == 4]
+    (dst / "002b.lat").write_text("\n".join(arcs) + "\n")
+    return dst
+
+
+def error_lines(stderr):
+    """Per-file error lines, without push's timing table or decode's
+    score lines."""
+    return [line for line in stderr.splitlines()
+            if ": " in line and ": score " not in line]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor and starts no process: it runs the
+    initializer and the jobs in this process and records how it was used."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.initargs = initargs
+        self.jobs = []
+        initializer(*initargs)
+        POOLS.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.fn = fn
+        self.chunksize = chunksize
+        self.jobs = list(items)
+        return map(fn, self.jobs)
+
+
+POOLS = []
+
+
+class TestPerFileContract:
+    """Each file succeeds or fails on its own, the same with and without
+    workers; the pool is bounded by the input."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_worker_context", {})
+        POOLS.clear()
+        yield POOLS
+        POOLS.clear()
+
+    @pytest.mark.parametrize("command", ["push", "decode", "nbest"])
+    def test_bad_lattice_same_with_workers(self, ws, tmp_path, capsys, command):
+        src = ws / ("lattices" if command == "push" else "pushed")
+        latdir = with_bad_lattice(src, tmp_path / "lats")
+        runs = {}
+        for workers in ("1", "3"):
+            out = tmp_path / f"out{workers}"
+            argv = {"push": ["push", str(latdir), str(out)],
+                    "decode": decode_args(ws, "--out", str(out)),
+                    "nbest": ["nbest", str(latdir), "--out", str(out)]}[command]
+            if command == "decode":
+                argv[1] = str(latdir)
+            else:
+                argv += ["--symtab", str(ws / "symtab.txt")]
+            assert main(argv + ["--workers", workers]) == 1
+            captured = capsys.readouterr()
+            payload = ([f.read_bytes() for f in sorted(out.glob("*.lat"))]
+                       if command == "push" else out.read_bytes())
+            # push's timing table differs run to run; decode's score lines stay
+            stderr = captured.err if command != "push" else None
+            runs[workers] = (captured.out, payload, error_lines(captured.err), stderr)
+        assert runs["1"] == runs["3"]
+        assert runs["1"][2] == ["002b: no final state"]
+        if command == "push":
+            assert len(runs["1"][1]) == 6
+        if command == "decode":
+            assert runs["1"][1].count(b"\n") == 6
+            ids = [line.split(":")[0] for line in runs["1"][3].splitlines()[:-1]]
+            assert ids == ["000", "001", "002", "002b", "003", "004", "005"]
+
+    def test_nbest_worker_byte_identity(self, ws, tmp_path):
+        serial = tmp_path / "serial.nbest"
+        parallel = tmp_path / "parallel.nbest"
+        for out, workers in ((serial, "1"), (parallel, "3")):
+            assert main(["nbest", str(ws / "pushed"), "--symtab", str(ws / "symtab.txt"),
+                         "--nbest", "20", "--out", str(out), "--workers", workers]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert serial.stat().st_size > 0
+
+    def test_stats_bad_lattice(self, ws, tmp_path, capsys):
+        latdir = with_bad_lattice(ws / "lattices", tmp_path / "lats")
+        assert main(["stats", str(latdir), "--symtab", str(ws / "symtab.txt"),
+                     "--json"]) == 1
+        captured = capsys.readouterr()
+        rows = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["id"] for r in rows] == [f"{i:03d}" for i in range(6)]
+        assert captured.err.splitlines() == ["002b: no final state"]
+
+    def test_pool_no_larger_than_input(self, ws, tmp_path, recorded):
+        out = tmp_path / "pushed"
+        assert main(["push", str(ws / "lattices"), str(out),
+                     "--symtab", str(ws / "symtab.txt"), "--workers", "64"]) == 0
+        assert [pool.max_workers for pool in recorded] == [6]
+        assert len(recorded[0].jobs) == 6
+        for f in sorted(out.glob("*.lat")):
+            assert f.read_bytes() == (ws / "pushed" / f.name).read_bytes()
+
+    def test_scorer_sent_once_not_per_job(self, ws, tmp_path, recorded):
+        serial = tmp_path / "serial.txt"
+        parallel = tmp_path / "parallel.txt"
+        assert main(decode_args(ws, "--out", str(serial))) == 0
+        assert main(decode_args(ws, "--out", str(parallel), "--workers", "2")) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        (pool,) = recorded
+        assert pool.max_workers == 2
+        assert pool.chunksize >= 1
+        (context,) = pool.initargs
+        assert set(context) == {"symbols", "scorer", "cfg"}
+        assert all(isinstance(job, Path) for job in pool.jobs)
+        scorer_bytes = len(pickle.dumps(context["scorer"]))
+        assert len(pickle.dumps(pool.fn)) < scorer_bytes
+
+    def test_serial_run_starts_no_pool(self, ws, tmp_path, recorded):
+        assert main(["push", str(ws / "lattices"), str(tmp_path / "pushed"),
+                     "--symtab", str(ws / "symtab.txt")]) == 0
+        assert recorded == []
+
+    @pytest.mark.parametrize("command", ["push", "decode", "nbest"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, ws, tmp_path, capsys, recorded,
+                                              command, workers):
+        argv = [command, str(ws / "pushed")]
+        if command == "push":
+            argv.append(str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--symtab", str(ws / "symtab.txt"), "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert recorded == []
+
+    def test_tune_names_the_bad_lattice(self, ws, tmp_path, capsys):
+        latdir = with_bad_lattice(ws / "pushed", tmp_path / "lats")
+        assert main(["tune", str(latdir), str(ws / "refs.txt"),
+                     "--symtab", str(ws / "symtab.txt"), "--grid", "0:1:0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["002b: no final state"]
+
+
+class TestScorerVocabulary:
+    """Words only a scorer file knows never widen the lattice vocabulary."""
+
+    @pytest.fixture(scope="class")
+    def oov(self, ws, tmp_path_factory):
+        root = tmp_path_factory.mktemp("oov")
+        corpus = root / "train.txt"
+        corpus.write_text((ws / "train.txt").read_text() + "zz01 w00 w01\n")
+        assert main(["train", str(corpus), "--out", str(root / "model.txt")]) == 0
+        (root / "lats").mkdir()
+        (root / "lats" / "000.lat").write_text("0 1 zz01 0\n1 0\n")
+        (root / "refs.txt").write_text("w00\n")
+        (root / "hyps.nbest").write_text("000 ||| zz01 ||| -0.5\n")
+        return root
+
+    @pytest.mark.parametrize("command", ["decode", "nbest", "tune", "rescore"])
+    def test_scorer_only_word_is_unknown(self, ws, oov, capsys, command):
+        scorer = ["--scorer", "ngram", "--model", str(oov / "model.txt")]
+        argv = {"decode": ["decode", str(oov / "lats"), *scorer],
+                "nbest": ["nbest", str(oov / "lats")],
+                "tune": ["tune", str(oov / "lats"), str(oov / "refs.txt"), *scorer],
+                "rescore": ["rescore", str(oov / "hyps.nbest"), *scorer]}[command]
+        assert main(argv + ["--symtab", str(ws / "symtab.txt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "unknown symbol 'zz01'" in line
+        if command != "rescore":
+            assert line.startswith("000: ")
+
