@@ -19,6 +19,7 @@ from .errors import (
     ScorerFormatError,
     SearchError,
     SemiringError,
+    TuneError,
     UnknownSymbolError,
 )
 from .semiring import INF, LOG, ONE, TROPICAL, ZERO, log_add, log_sum, trop_add

@@ -13,6 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .errors import TuneError
+
 MAX_ORDER = 4
 
 
@@ -89,8 +91,8 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
 
     Only the ratio of the two weights matters to the decoder's argmax, so
     lambda_scorer stays fixed at 1 and the grid sweeps lambda_lat. Ties
-    go to the smaller lambda_lat. Decoding failures are re-raised naming
-    the offending sentence.
+    go to the smaller lambda_lat. Decoding failures are re-raised as
+    TuneError naming the offending sentence.
     """
     from .decoder import DecoderConfig, decode
 
@@ -108,8 +110,8 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
             try:
                 hyps.append(decode(lattice, scorer, cfg).best.prefix)
             except Exception as exc:
-                raise RuntimeError(
-                    f"decode failed on sentence {i} at lambda_lat={lam}") from exc
+                raise TuneError(f"decode failed on sentence {i} at "
+                                f"lambda_lat={lam}: {exc}") from exc
         report = corpus_bleu(hyps, references)
         history.append((lam, report.score))
         if best is None or report.score > best.bleu.score:

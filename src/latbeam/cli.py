@@ -5,7 +5,9 @@ shared symbol table) and plain-text token files, one sentence per line.
 Hypothesis text goes to --out (default stdout); progress and per-item
 errors go to stderr. With --json, machine-readable JSON lines replace
 the plain hypothesis output. Exit status is 0 only when every work item
-succeeded. File-level work is deterministic, so --workers never changes
+succeeded; a file that cannot be opened or decoded as UTF-8 is reported
+as one `latbeam: <path>: <reason>` line, or as a per-item error for a
+lattice file. File-level work is deterministic, so --workers never changes
 any output byte. With --workers, each worker process loads the symbol
 table and scorer once, and the pool never has more processes than files.
 
@@ -21,7 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -48,8 +50,25 @@ from .wfsa import (
 from . import semiring
 
 
+@contextmanager
+def _file_errors(path):
+    """Turn an OSError or undecodable text met while using the file at
+    path into one LatbeamError line naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise LatbeamError(f"{exc.filename or path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise LatbeamError(f"{path}: {exc}") from None
+
+
+def _read_text(path) -> str:
+    with _file_errors(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
 def _load_symbols(path: str) -> SymbolTable:
-    return parse_symbols(Path(path).read_text(encoding="utf-8"))
+    return parse_symbols(_read_text(path))
 
 
 def _make_scorer(args, symbols: SymbolTable):
@@ -61,9 +80,9 @@ def _make_scorer(args, symbols: SymbolTable):
     # extend an open copy, never the table lattices are read with
     vocab = copy.deepcopy(symbols)
     vocab.closed = False
-    if args.scorer == "ngram":
-        return load_ngram_model(args.model, vocab)
-    return load_table_scorer(args.model, vocab)
+    load = load_ngram_model if args.scorer == "ngram" else load_table_scorer
+    with _file_errors(args.model):
+        return load(args.model, vocab)
 
 
 def _decoder_config(args) -> DecoderConfig:
@@ -82,7 +101,8 @@ def _output(path: str):
     """The --out stream as a context manager; '-' is stdout, left open."""
     if path == "-":
         return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+    with _file_errors(path):
+        return open(path, "w", encoding="utf-8")
 
 
 def _attempt(fn, path: Path, context: dict):
@@ -144,23 +164,24 @@ class _Batch:
 
 def _read_posterior(path: Path, symbols: SymbolTable) -> PosteriorLattice:
     """A pushed lattice from disk, verified in full."""
-    inner = parse_wfsa(path.read_text(encoding="utf-8"), symbols,
-                       semiring_tag=semiring.LOG)
+    inner = parse_wfsa(_read_text(path), symbols, semiring_tag=semiring.LOG)
     return PosteriorLattice(inner)
 
 
 def _push_file(path: Path, symbols: SymbolTable, outdir: Path) -> dict[str, float]:
-    raw = parse_wfsa(path.read_text(encoding="utf-8"), symbols)
+    raw = parse_wfsa(_read_text(path), symbols)
     timings: dict[str, float] = {}
     lattice = prepare(raw, stages=timings)
-    (outdir / path.name).write_text(serialize_wfsa(lattice.inner, symbols),
-                                    encoding="utf-8")
+    out = outdir / path.name
+    with _file_errors(out):
+        out.write_text(serialize_wfsa(lattice.inner, symbols), encoding="utf-8")
     return timings
 
 
 def cmd_push(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _file_errors(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     batch = _Batch(_push_file, args.latdir, args.workers,
                    symbols=_load_symbols(args.symtab), outdir=outdir)
     total = dict.fromkeys(STAGES, 0.0)
@@ -236,7 +257,7 @@ def cmd_nbest(args) -> int:
 
 def _read_nbest_file(path, symbols) -> list[NBestList]:
     groups: dict[str, list[tuple[tuple[int, ...], float]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _file_errors(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -291,8 +312,7 @@ def cmd_rescore(args) -> int:
 
 
 def _read_sentences(path) -> list[list[str]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [line.split() for line in lines]
+    return [line.split() for line in _read_text(path).splitlines()]
 
 
 def cmd_tune(args) -> int:
@@ -362,7 +382,7 @@ def cmd_bleu(args) -> int:
 
 
 def _stats_file(path: Path, symbols: SymbolTable):
-    return validate(parse_wfsa(path.read_text(encoding="utf-8"), symbols))
+    return validate(parse_wfsa(_read_text(path), symbols))
 
 
 def cmd_stats(args) -> int:
@@ -399,7 +419,8 @@ def cmd_train(args) -> int:
                        for t in sent])
     model = train_ngram(corpus, order=args.order, smoothing=args.smoothing,
                         k=args.k, alpha=args.alpha, min_count=args.min_count)
-    model.save(args.out, symbols)
+    with _file_errors(args.out):
+        model.save(args.out, symbols)
     print(f"trained order-{args.order} {args.smoothing} model on "
           f"{len(corpus)} sentences, vocab {len(model.vocab)}", file=sys.stderr)
     return 0
@@ -410,7 +431,8 @@ def cmd_demo(args) -> int:
     if seed is None:
         seed = int(os.environ.get("LG_SEED", "13"))
     demo = build_demo(seed=seed, n_sentences=args.sentences)
-    write_demo(demo, args.outdir)
+    with _file_errors(args.outdir):
+        write_demo(demo, args.outdir)
     print(f"wrote demo set ({args.sentences} sentences, seed {seed}) "
           f"to {args.outdir}", file=sys.stderr)
     return 0

@@ -69,3 +69,7 @@ class ConfigError(LatbeamError, ValueError):
 
 class SearchError(LatbeamError):
     """Beam search ran out of steps without completing a hypothesis."""
+
+
+class TuneError(LatbeamError, RuntimeError):
+    """A development-set decode failed during tuning."""

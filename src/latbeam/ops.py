@@ -7,14 +7,21 @@ The operations compose into the standard preprocessing pipeline
 
 which posterior.prepare() runs to turn an unnormalized lattice into a
 deterministic acceptor whose arc weights are negative conditional
-log-probabilities. Each stage writes its output arcs once, straight
-into the arc lists, and skips work its input does not need: rm_epsilon
-builds no closure for epsilon-free input, and connect returns a copy
-with the same numbering when it drops nothing. minimize, push_log and
-n_shortest_strings share one shortest-distance pass (_potentials),
-differing only in the semiring plus they hand it. The enumeration
-helpers at the bottom are deliberately naive; they exist as oracles
-for the efficient code paths and for desk-scale analysis.
+log-probabilities. Arcs are Arc NamedTuples that unpack as
+(label, weight, dst); the loops here unpack them rather than read
+attributes. Each stage writes its output arcs once, straight into the
+arc lists, and skips work its input does not need: rm_epsilon builds
+no closure for epsilon-free input, determinize only renumbers the
+accessible states in BFS order when its input is already deterministic
+(with finite arc weights), and connect returns a copy with the same
+numbering when it drops nothing. determinize, minimize and push_log are
+checked wrappers around private cores; prepare() checks its input once
+and chains the cores, handing each the topological order the stage
+before it already knows. minimize, push_log and n_shortest_strings
+share one shortest-distance pass (_potentials), differing only in the
+semiring plus they hand it. The enumeration helpers at the bottom are
+deliberately naive; they exist as oracles for the efficient code paths
+and for desk-scale analysis.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .errors import (
     SemiringError,
 )
 from .semiring import INF
-from .wfsa import EPS, Arc, Wfsa, _accessible, _coaccessible, topological_order
+from .wfsa import EPS, Arc, Wfsa, _accessible, _coaccessible, _new, topological_order
 
 
 def _require_acyclic(w: Wfsa, op: str) -> list[int]:
@@ -55,8 +62,8 @@ def _potentials(w: Wfsa, order: list[int], plus) -> list[float]:
     arcs, finals = w.arcs, w.finals
     for q in reversed(order):
         acc = finals.get(q, INF)
-        for arc in arcs[q]:
-            acc = plus(acc, arc.weight + potential[arc.dst])
+        for _, weight, dst in arcs[q]:
+            acc = plus(acc, weight + potential[dst])
         potential[q] = acc
     return potential
 
@@ -76,7 +83,8 @@ def connect(w: Wfsa) -> Wfsa:
     renum = {old: new for new, old in enumerate(old_order)}
     out = Wfsa(w.semiring)
     out.start = renum[w.start]
-    out.arcs = [[Arc(a.label, a.weight, renum[a.dst]) for a in w.arcs[old] if a.dst in keep]
+    out.arcs = [[_new(Arc, (label, weight, renum[dst]))
+                 for label, weight, dst in w.arcs[old] if dst in keep]
                 for old in old_order]
     for old, weight in w.finals.items():
         if old in keep:
@@ -93,22 +101,23 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
     The result is trimmed.
     """
     plus = semiring.plus_for(w.semiring)
+    arcs, finals = w.arcs, w.finals
     # closure[q]: total epsilon cost from q to every state it can reach
     # through epsilon arcs alone, excluding q itself; all empty (one
     # shared dict, never written) when there is no epsilon arc.
     closure: list[dict[int, float]] = [{}] * w.num_states
     if w.has_epsilon():
         eps_only = Wfsa(w.semiring)
-        eps_only.arcs = [[a for a in arcs if a.label == EPS] for arcs in w.arcs]
+        eps_only.arcs = [[a for a in state_arcs if a[0] == EPS] for state_arcs in arcs]
         eps_order = topological_order(eps_only)
         if eps_order is None:
             raise EpsilonCycleError("epsilon cycle detected")
         for q in reversed(eps_order):
             acc: dict[int, float] = {}
-            for arc in eps_only.arcs[q]:
-                step = {arc.dst: arc.weight}
-                for far, cost in closure[arc.dst].items():
-                    step[far] = semiring.times(arc.weight, cost)
+            for _, weight, dst in eps_only.arcs[q]:
+                step = {dst: weight}
+                for far, cost in closure[dst].items():
+                    step[far] = semiring.times(weight, cost)
                 for state, cost in step.items():
                     acc[state] = plus(acc.get(state, INF), cost)
             closure[q] = acc
@@ -116,16 +125,15 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
     out = Wfsa(w.semiring)
     out.ensure_state(max(w.num_states - 1, 0))
     out.start = w.start
-    finals = w.finals
     for src in range(w.num_states):
         merged: dict[tuple[int, int], float] = {}
         reach = sorted(closure[src].items())
-        for via, cost in [(src, semiring.ONE)] + reach:
-            for arc in w.arcs[via]:
-                if arc.label != EPS:
-                    key = (arc.label, arc.dst)
-                    merged[key] = plus(merged.get(key, INF), cost + arc.weight)
-        out.arcs[src] = [Arc(label, weight, dst)
+        for via, cost in [(src, semiring.ONE), *reach]:
+            for label, weight, dst in arcs[via]:
+                if label != EPS:
+                    key = (label, dst)
+                    merged[key] = plus(merged.get(key, INF), cost + weight)
+        out.arcs[src] = [_new(Arc, (label, weight, dst))
                          for (label, dst), weight in sorted(merged.items())]
         final = finals.get(src, INF)
         for via, cost in reach:
@@ -145,11 +153,56 @@ def determinize(w: Wfsa) -> Wfsa:
     the leftover relative to that, so path weights are preserved while
     every string ends up with exactly one path. A tropical input keeps
     only the best path per string; a log-tagged input pools the mass of
-    duplicate paths. Output arcs are sorted by label.
+    duplicate paths. Output arcs are sorted by label. Deterministic input
+    whose arc weights are all finite takes a fast path with the same
+    result: every subset is then one state with residual zero, so the
+    construction only renumbers the accessible states in BFS order.
     """
     if w.has_epsilon():
         raise EpsilonArcError("determinize requires an epsilon-free lattice")
-    _require_acyclic(w, "determinize")
+    return _determinize(w, _require_acyclic(w, "determinize"))[0]
+
+
+def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int] | None]:
+    """determinize without its checks, for epsilon-free w with the
+    topological order given. Also returns the result's topological order
+    when the fast path knows it, else None.
+
+    The fast path detects determinism in its own pass. On the first
+    repeated label out of a state, or the first infinite or NaN arc
+    weight, it hands over to the subset construction: such a weight
+    gives a NaN residual, and NaN subsets never compare equal, so the
+    subset construction does more there than renumber.
+    """
+    arcs, finals = w.arcs, w.finals
+    renum = [-1] * w.num_states
+    renum[w.start] = 0
+    visit = [w.start]          # input state of each output state; grows as BFS
+    out = Wfsa(w.semiring)
+    for q in visit:
+        row = []
+        prev = EPS
+        for label, weight, dst in sorted(arcs[q]):
+            if label == prev or not -INF < weight < INF:
+                return _subsets(w), None
+            prev = label
+            nid = renum[dst]
+            if nid < 0:
+                nid = renum[dst] = len(visit)
+                visit.append(dst)
+            # INF is the identity of both additions, so the subset
+            # construction's plus(INF, 0.0 + weight) is 0.0 + weight
+            row.append(_new(Arc, (label, 0.0 + weight, nid)))
+        out.arcs.append(row)
+    for q, f in finals.items():
+        if renum[q] >= 0 and f != INF:
+            out.finals[renum[q]] = 0.0 + f
+    return out, [renum[q] for q in order if renum[q] >= 0]
+
+
+def _subsets(w: Wfsa) -> Wfsa:
+    """The weighted subset construction of determinize, for any
+    epsilon-free acyclic input."""
     plus = semiring.plus_for(w.semiring)
     arcs, finals = w.arcs, w.finals
 
@@ -174,9 +227,9 @@ def determinize(w: Wfsa) -> Wfsa:
 
         by_label: dict[int, dict[int, float]] = {}
         for state, residual in key:
-            for arc in arcs[state]:
-                dests = by_label.setdefault(arc.label, {})
-                dests[arc.dst] = plus(dests.get(arc.dst, INF), residual + arc.weight)
+            for label, weight, dst in arcs[state]:
+                dests = by_label.setdefault(label, {})
+                dests[dst] = plus(dests.get(dst, INF), residual + weight)
         for label in sorted(by_label):
             dests = by_label[label]
             ordered = sorted(dests.items())
@@ -189,7 +242,7 @@ def determinize(w: Wfsa) -> Wfsa:
                 nid = out.add_state()
                 index[new_key] = nid
                 queue.append(new_key)
-            out_arcs.append(Arc(label, total, nid))
+            out_arcs.append(_new(Arc, (label, total, nid)))
     return out
 
 
@@ -211,18 +264,26 @@ def minimize(w: Wfsa) -> Wfsa:
         return trimmed
     if trimmed.num_states != w.num_states:
         order = topological_order(trimmed)
-    w = trimmed
+    return _minimize(trimmed, order)[0]
+
+
+def _minimize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
+    """minimize without its checks, for a deterministic trimmed w with
+    the topological order given. Also returns the result's topological
+    order."""
     potential = _potentials(w, order, semiring.plus_for(w.semiring))
     start, fold = w.start, potential[w.start]
     # pushed arcs as (label, weight, dst) rows sorted by label, which is
-    # unique per state; only the merged automaton gets Arc objects
-    rows = [sorted([(a.label, a.weight + potential[a.dst] - p, a.dst) for a in arcs])
+    # unique per state; only the merged automaton gets Arc tuples
+    rows = [sorted([(label, weight + potential[dst] - p, dst) for label, weight, dst in arcs])
             for arcs, p in zip(w.arcs, potential)]
     rows[start] = [(label, weight + fold, dst) for label, weight, dst in rows[start]]
     finals = {q: f - potential[q] for q, f in w.finals.items()}
     if start in finals:
         finals[start] += fold
 
+    # a state is classed after its successors, so a new class id exceeds
+    # the ids of every class it has an arc to
     klass = [0] * w.num_states
     by_signature: dict[tuple, int] = {}
     for q in reversed(order):
@@ -237,29 +298,27 @@ def minimize(w: Wfsa) -> Wfsa:
         klass[q] = found
 
     out = Wfsa(w.semiring)
-    out.add_state()
-    out.start = 0
+    out_arcs = out.arcs
+    out_arcs.append([])
     renum = {klass[start]: 0}
     queue = deque([start])
-    seen_class = {klass[start]}
     while queue:
         rep = queue.popleft()
         sid = renum[klass[rep]]
         f = finals.get(rep, INF)
         if f != INF:
             out.finals[sid] = f
-        out_arcs = out.arcs[sid]
+        row = out_arcs[sid]
         for label, weight, dst in rows[rep]:
             c = klass[dst]
             nid = renum.get(c)
             if nid is None:
-                nid = out.add_state()
-                renum[c] = nid
-            if c not in seen_class:
-                seen_class.add(c)
+                nid = renum[c] = len(out_arcs)
+                out_arcs.append([])
                 queue.append(dst)
-            out_arcs.append(Arc(label, weight, nid))
-    return out
+            row.append(_new(Arc, (label, weight, nid)))
+    # descending class ids are a topological order of the classes
+    return out, [renum[c] for c in range(len(by_signature) - 1, -1, -1) if c in renum]
 
 
 def push_log(w: Wfsa) -> tuple[Wfsa, float]:
@@ -274,15 +333,20 @@ def push_log(w: Wfsa) -> tuple[Wfsa, float]:
     Every state must reach a final state, otherwise its potential is
     infinite and the rewrite is undefined.
     """
-    order = _require_acyclic(w, "push_log")
+    return _push_log(w, _require_acyclic(w, "push_log"))
+
+
+def _push_log(w: Wfsa, order: list[int]) -> tuple[Wfsa, float]:
+    """push_log without its acyclicity check, for the topological order given."""
     potential = _potentials(w, order, semiring.log_add)
-    for q in range(w.num_states):
-        if potential[q] == INF:
-            raise NotCoaccessibleError(f"state {q} cannot reach a final state")
+    if INF in potential:
+        raise NotCoaccessibleError(
+            f"state {potential.index(INF)} cannot reach a final state")
     # potentials move onto arcs: w + p[dst] - p[src], finals f - p[q]
     out = Wfsa(semiring.LOG)
     out.start = w.start
-    out.arcs = [[Arc(a.label, a.weight + potential[a.dst] - p, a.dst) for a in arcs]
+    out.arcs = [[_new(Arc, (label, weight + potential[dst] - p, dst))
+                 for label, weight, dst in arcs]
                 for arcs, p in zip(w.arcs, potential)]
     out.finals = {q: f - potential[q] for q, f in w.finals.items()}
     return out, potential[w.start] if w.num_states else 0.0
@@ -297,8 +361,8 @@ def check_stochastic(w: Wfsa, tol: float = 1e-6) -> bool:
     log_add, arcs, finals = semiring.log_add, w.arcs, w.finals
     for q in _accessible(w):
         total = finals.get(q, INF)
-        for arc in arcs[q]:
-            total = log_add(total, arc.weight)
+        for _, weight, _ in arcs[q]:
+            total = log_add(total, weight)
         if not abs(total) <= tol:
             return False
     return True
@@ -404,12 +468,11 @@ def n_shortest_strings(w: Wfsa, n: int) -> list[tuple[tuple[int, ...], float]]:
         f = w.final_weight(state)
         if f != INF:
             heapq.heappush(heap, (acc + f, tokens, 1, -1, acc + f))
-        for arc in w.arcs_from(state):
-            if potential[arc.dst] == INF or arc.weight == INF:
+        for label, weight, dst in w.arcs[state]:
+            if potential[dst] == INF or weight == INF:
                 continue
-            cost = acc + arc.weight
-            heapq.heappush(heap, (cost + potential[arc.dst],
-                                  tokens + (arc.label,), 0, arc.dst, cost))
+            cost = acc + weight
+            heapq.heappush(heap, (cost + potential[dst], tokens + (label,), 0, dst, cost))
     return results
 
 

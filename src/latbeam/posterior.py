@@ -13,19 +13,16 @@ import logging
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 from . import ops, semiring
 from .errors import (CyclicLatticeError, EmptyLatticeError, NotDeterministicError,
                      NotStochasticError, SemiringError)
-from .wfsa import EPS, Wfsa, topological_order
+from .wfsa import EPS, Wfsa, _new, topological_order
 
 log = logging.getLogger(__name__)
 
 NEG_INF = -math.inf
-_label = attrgetter("label")
 
 # the timed stages of prepare(), in pipeline order
 STAGES = ("determinization", "minimization", "pushing")
@@ -47,9 +44,9 @@ class _Reject:
 REJECT = _Reject()
 
 
-@dataclass(frozen=True, slots=True)
-class Successor:
-    """One outgoing arc seen as a predictive event."""
+class Successor(NamedTuple):
+    """One outgoing arc seen as a predictive event; unpacks as
+    (token, cond_logprob, next_state, next_final_logprob)."""
 
     token: int
     cond_logprob: float
@@ -90,18 +87,19 @@ class PosteriorLattice:
         successors: list[tuple[Successor, ...]] = [()] * n
         depth = [0] * n
         for q in reversed(order):
-            arcs = sorted(inner.arcs[q], key=_label)
             prev, d = EPS, 0
-            for a in arcs:
-                if a.label == prev or a.label == EPS:
+            row_labels, row = [], []
+            for label, weight, dst in sorted(inner.arcs[q]):
+                if label == prev or label == EPS:
                     raise NotDeterministicError("posterior lattice must be deterministic")
-                prev = a.label
-                if depth[a.dst] >= d:
-                    d = depth[a.dst] + 1
+                prev = label
+                if depth[dst] >= d:
+                    d = depth[dst] + 1
+                row_labels.append(label)
+                row.append(_new(Successor, (label, -weight, dst, final_logprob[dst])))
             depth[q] = d
-            labels[q] = [a.label for a in arcs]
-            successors[q] = tuple([Successor(a.label, -a.weight, a.dst, final_logprob[a.dst])
-                                   for a in arcs])
+            labels[q] = row_labels
+            successors[q] = tuple(row)
         if not ops.check_stochastic(inner, tol):
             raise NotStochasticError(
                 f"outgoing mass differs from 1 by more than {tol}")
@@ -126,7 +124,7 @@ class PosteriorLattice:
 
     def successors(self, state: int) -> SuccessorSet:
         """All outgoing predictive events plus the state's own stop mass."""
-        return SuccessorSet(self._successors[state], self._final_logprob[state])
+        return _new(SuccessorSet, (self._successors[state], self._final_logprob[state]))
 
     def arc_for(self, state: int, token: int) -> Successor | None:
         labels = self._labels[state]
@@ -188,6 +186,13 @@ def prepare(raw: Wfsa, tol: float = 1e-6, stages: dict | None = None) -> Posteri
     whole automaton. The stripped total (the negative log of the raw
     lattice's mass) is logged and kept on the result as raw_total.
 
+    The result equals push_log(minimize(determinize(rm_epsilon(raw)))) on
+    the log-retagged input, but the input is checked once: one topological
+    order after epsilon removal, and each later stage is handed what the
+    stage before it established (epsilon-free, deterministic, trimmed,
+    and its output's topological order where known). The PosteriorLattice
+    still verifies the result in full.
+
     When stages is given, the wall-clock seconds of each of STAGES are
     added to it (epsilon removal is billed to determinization), so one
     dict can sum the timings of many calls.
@@ -199,11 +204,13 @@ def prepare(raw: Wfsa, tol: float = 1e-6, stages: dict | None = None) -> Posteri
     work = ops.rm_epsilon(work)
     if not work.finals:
         raise EmptyLatticeError("lattice accepts nothing")
-    work = ops.determinize(work)
+    work, order = ops._determinize(work, ops._require_acyclic(work, "determinize"))
+    if order is None:
+        order = topological_order(work)
     t1 = time.perf_counter()
-    work = ops.minimize(work)
+    work, order = ops._minimize(work, order)
     t2 = time.perf_counter()
-    pushed, total = ops.push_log(work)
+    pushed, total = ops._push_log(work, order)
     t3 = time.perf_counter()
     if stages is not None:
         for name, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):

@@ -16,7 +16,8 @@ Symbol table format: one ``token id`` pair per line, same comment rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import semiring
 from .errors import LatticeFormatError, UnknownSymbolError
@@ -119,11 +120,18 @@ def format_symbols(table: SymbolTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(NamedTuple):
+    """One weighted arc; unpacks as (label, weight, dst)."""
+
     label: int
     weight: float
     dst: int
+
+
+# _new(Arc, (label, weight, dst)) builds an arc at about half the cost of
+# Arc(label, weight, dst), whose generated __new__ handles keywords; every
+# bulk construction in latbeam uses it
+_new = tuple.__new__
 
 
 class Wfsa:
@@ -164,7 +172,7 @@ class Wfsa:
         top = src if src > dst else dst
         if top >= len(self.arcs):
             self.ensure_state(top)
-        self.arcs[src].append(Arc(label, weight, dst))
+        self.arcs[src].append(_new(Arc, (label, weight, dst)))
 
     def set_final(self, state: int, weight: float = 0.0) -> None:
         self.ensure_state(state)
@@ -181,21 +189,17 @@ class Wfsa:
             for arc in arcs:
                 yield src, arc
 
-    def sort_arcs(self) -> None:
-        for arcs in self.arcs:
-            arcs.sort(key=lambda a: (a.label, a.dst, a.weight))
-
     def has_epsilon(self) -> bool:
-        return any(arc.label == EPS for arcs in self.arcs for arc in arcs)
+        return any(label == EPS for arcs in self.arcs for label, _, _ in arcs)
 
     def is_deterministic(self) -> bool:
         """No epsilon arcs and at most one arc per label out of each state."""
         for arcs in self.arcs:
             seen = set()
-            for arc in arcs:
-                if arc.label == EPS or arc.label in seen:
+            for label, _, _ in arcs:
+                if label == EPS or label in seen:
                     return False
-                seen.add(arc.label)
+                seen.add(label)
         return True
 
     def copy(self) -> "Wfsa":
@@ -275,7 +279,7 @@ def parse_wfsa(text: str, symbols: SymbolTable,
             top = src if src > dst else dst
             if top >= len(arcs):
                 w.ensure_state(top)
-            arcs[src].append(Arc(label, weight, dst))
+            arcs[src].append(_new(Arc, (label, weight, dst)))
         else:
             raise LatticeFormatError("expected 1, 2, 3 or 4 fields", line=lineno)
         if not saw_record:
@@ -302,11 +306,11 @@ def serialize_wfsa(w: Wfsa, symbols: SymbolTable) -> str:
     automaton twice yields identical bytes.
     """
     lines: list[str] = []
+    sym_of = symbols.sym_of
 
     def arc_block(state: int):
-        for arc in w.arcs_from(state):
-            sym = symbols.sym_of(arc.label)
-            lines.append(f"{state} {arc.dst} {sym} {_format_weight(arc.weight)}")
+        for label, weight, dst in w.arcs[state]:
+            lines.append(f"{state} {dst} {sym_of(label)} {_format_weight(weight)}")
 
     if w.num_states:
         if not w.arcs_from(w.start) and w.start in w.finals:
@@ -334,18 +338,18 @@ def _accessible(w: Wfsa) -> set[int]:
     stack = [w.start]
     while stack:
         state = stack.pop()
-        for arc in w.arcs_from(state):
-            if arc.dst not in seen:
-                seen.add(arc.dst)
-                stack.append(arc.dst)
+        for _, _, dst in w.arcs[state]:
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
     return seen
 
 
 def _coaccessible(w: Wfsa) -> set[int]:
     rev: list[list[int]] = [[] for _ in range(w.num_states)]
     for src, arcs in enumerate(w.arcs):
-        for arc in arcs:
-            rev[arc.dst].append(src)
+        for _, _, dst in arcs:
+            rev[dst].append(src)
     seen = set(w.finals)
     stack = list(w.finals)
     while stack:
@@ -362,15 +366,14 @@ def topological_order(w: Wfsa) -> list[int] | None:
     n = w.num_states
     indegree = [0] * n
     for arcs in w.arcs:
-        for arc in arcs:
-            indegree[arc.dst] += 1
+        for _, _, dst in arcs:
+            indegree[dst] += 1
     ready = [q for q in range(n) if indegree[q] == 0]
     order: list[int] = []
     while ready:
         state = ready.pop()
         order.append(state)
-        for arc in w.arcs[state]:
-            dst = arc.dst
+        for _, _, dst in w.arcs[state]:
             indegree[dst] -= 1
             if indegree[dst] == 0:
                 ready.append(dst)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from latbeam.bleu import corpus_bleu, tune_grid
+from latbeam.errors import LatbeamError
 from latbeam.posterior import prepare
 from latbeam.scorers import Prediction, TableScorer, UniformScorer
 from latbeam.wfsa import Wfsa
@@ -63,6 +64,16 @@ class TestCorpusBleu:
         assert report.totals[1] == 1 + 2
         assert report.hyp_length == 5
         assert report.ref_length == 5
+
+    def test_decode_failure_is_a_latbeam_error(self):
+        # the command line reports LatbeamError as one line, no traceback
+        class Broken(UniformScorer):
+            def predict(self, state):
+                raise RuntimeError("boom")
+
+        lat = prepare(two_path_lattice())
+        with pytest.raises(LatbeamError, match="boom"):
+            tune_grid([lat], [(A, B)], Broken({A, B, C}), grid=[0.5])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="against"):

@@ -322,6 +322,35 @@ class TestFailureModes:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("case", ["symtab", "model", "refs", "out", "undecodable"])
+    def test_file_error_is_one_line(self, ws, tmp_path, case):
+        missing = tmp_path / "missing.txt"
+        symtab, model, refs = ws / "symtab.txt", ws / "model.txt", ws / "refs.txt"
+        out = tmp_path / "hyp.txt"
+        reason = "No such file or directory"
+        if case == "symtab":
+            symtab = bad = missing
+        elif case == "model":
+            model = bad = missing
+        elif case == "refs":
+            refs = bad = missing
+        elif case == "out":
+            out = bad = tmp_path / "nodir" / "hyp.txt"
+        else:
+            symtab = bad = tmp_path / "latin1.txt"
+            bad.write_bytes("<eps> 0\ncaf\xe9 1\n".encode("latin-1"))
+            reason = "can't decode"
+        if case == "refs":
+            args = ["tune", ws / "pushed", refs, "--grid", "1"]
+        else:
+            args = ["decode", ws / "pushed", "--out", out]
+        proc = run_cli(*args, "--symtab", symtab, "--scorer", "ngram", "--model", model)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"latbeam: {bad}: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert reason in proc.stderr
+
     def test_tune_takes_no_lambda_flags(self, ws, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tune", str(ws / "pushed"), str(ws / "refs.txt"),

@@ -16,6 +16,8 @@ from latbeam.errors import (
     PathCountError,
 )
 from latbeam.ops import (
+    _determinize,
+    _subsets,
     aggregate_strings,
     check_stochastic,
     connect,
@@ -30,7 +32,7 @@ from latbeam.ops import (
 )
 from latbeam.semiring import INF
 from latbeam.synth import random_acyclic_wfsa
-from latbeam.wfsa import EPS, Arc, Wfsa
+from latbeam.wfsa import EPS, Arc, SymbolTable, Wfsa, serialize_wfsa, topological_order
 
 A, B, C, D = 1, 2, 3, 4
 
@@ -204,6 +206,43 @@ class TestDeterminize:
         w = l1()
         out = determinize(w)
         assert string_costs(out) == pytest.approx(string_costs(w))
+
+    @pytest.mark.parametrize("tag", [semiring.TROPICAL, semiring.LOG])
+    def test_fast_path_matches_subset_construction(self, tag):
+        # deterministic input is renumbered instead of subset-constructed;
+        # the result must be the one the subset construction builds
+        symbols = SymbolTable.from_tokens(f"w{i}" for i in range(1, 7))
+        rng = random.Random(97)
+        for case in range(60):
+            n = rng.randint(2, 25)
+            w = Wfsa(tag)
+            w.ensure_state(n)  # state n has arcs out but none in
+            if case % 2:
+                w.set_final(n, 1.0)
+            for q in [*range(n - 1), n]:
+                labels = rng.sample(range(1, 6), rng.randint(0, 3))
+                for label in labels:
+                    dst = rng.randrange(q + 1, n) if q < n - 1 else rng.randrange(n)
+                    w.add_arc(q, label, rng.choice([-0.0, rng.uniform(-1.0, 5.0)]), dst)
+            inf_arc = case % 4 == 0
+            # label 6 is used nowhere else; starting at 1 leaves 0 inaccessible
+            w.add_arc(0, 6, INF if inf_arc else 0.5, n - 1)
+            w.start = 0 if inf_arc or n == 2 else rng.choice([0, 1])
+            w.set_final(n - 1, rng.uniform(0.0, 2.0))
+            if case % 3 == 0:
+                w.set_final(w.start, rng.uniform(0.0, 2.0))
+            out, order = _determinize(w, topological_order(w))
+            assert (order is None) == inf_arc
+            assert repr(determinize(w).arcs) == repr(out.arcs)
+            ref = _subsets(w)
+            assert serialize_wfsa(out, symbols) == serialize_wfsa(ref, symbols)
+            assert repr(out.arcs) == repr(ref.arcs)
+            assert repr(sorted(out.finals.items())) == repr(sorted(ref.finals.items()))
+            if order is not None:
+                assert sorted(order) == list(range(out.num_states))
+                pos = {q: i for i, q in enumerate(order)}
+                assert all(pos[q] < pos[a.dst]
+                           for q in range(out.num_states) for a in out.arcs[q])
 
     def test_rejects_epsilon_input(self):
         w = Wfsa()

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from latbeam import semiring
+from latbeam import ops, posterior, semiring, wfsa
 from latbeam.errors import (
     CyclicLatticeError,
     EmptyLatticeError,
@@ -18,7 +18,7 @@ from latbeam.errors import (
 from latbeam.ops import determinize, enumerate_paths, minimize, push_log, rm_epsilon
 from latbeam.posterior import REJECT, STAGES, PosteriorLattice, prepare
 from latbeam.synth import build_demo, random_acyclic_wfsa, sausage_lattice
-from latbeam.wfsa import EPS, SymbolTable, Wfsa, serialize_wfsa
+from latbeam.wfsa import EPS, SymbolTable, Wfsa, serialize_wfsa, topological_order
 
 A, B, C, Z = 1, 2, 3, 9
 
@@ -190,6 +190,26 @@ class TestPinnedBytes:
             h.update(serialize_wfsa(lat.inner, symbols).encode())
             h.update(f"{lat.raw_total!r}\n".encode())
         assert h.hexdigest() == digest
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("raw", [
+        lambda: sausage_lattice(2000, seed=13),
+        lambda: _two_arc_lattice(10_000, random.Random(443)),  # criterion 12's
+    ], ids=["sausage", "acceptance_12"])
+    def test_at_most_two_topological_orders(self, monkeypatch, raw):
+        # one after epsilon removal, one in the PosteriorLattice check
+        calls = []
+
+        def counting(w):
+            calls.append(w.num_states)
+            return topological_order(w)
+
+        for module in (wfsa, ops, posterior):
+            monkeypatch.setattr(module, "topological_order", counting)
+        lattice = prepare(raw())
+        assert len(calls) <= 2
+        assert lattice.num_states == calls[-1]
 
 
 class TestValidation:
