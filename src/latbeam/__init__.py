@@ -75,7 +75,6 @@ from .decoder import (
     DecoderConfig,
     Hypothesis,
     decode,
-    joint_step_logprob,
     local_log_norm,
 )
 from .baselines import (

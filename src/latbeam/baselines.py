@@ -11,11 +11,11 @@ the same unit as the decoder's node expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .decoder import DecoderConfig, DecodeResult, _beam_search, check_lambdas
+from .decoder import DecoderConfig, DecodeResult, _beam_search, _joint, check_lambdas
 from .ops import n_shortest_strings
-from .posterior import REJECT, PosteriorLattice
+from .posterior import PosteriorLattice
 from .scorers import EOS_ID
 
 
@@ -82,43 +82,31 @@ class RescoredEntry:
 class RescoreResult:
     ranked: list[RescoredEntry]
     predict_calls: int
-    rejected: list[tuple[int, ...]] = field(default_factory=list)
 
 
 def _entry_key(entry: RescoredEntry):
     return (-entry.joint_score, len(entry.tokens), entry.tokens)
 
 
-def _combine(nbest: NBestList, scorer_logprobs, lambda_lat, lambda_scorer,
-             lattice=None) -> tuple[list[RescoredEntry], list[tuple[int, ...]]]:
+def _combine(nbest: NBestList, scorer_logprobs, lambda_lat,
+             lambda_scorer) -> list[RescoredEntry]:
     entries = []
-    rejected = []
-    for tokens, stored_logprob in nbest.entries:
-        if lattice is not None:
-            lat = lattice.accepted_logprob(tokens)
-            if lat is REJECT:
-                rejected.append(tokens)
-                continue
-        else:
-            lat = stored_logprob
+    for tokens, lat in nbest.entries:
         scorer_lp = scorer_logprobs[tokens]
-        joint = (lambda_lat * lat if lambda_lat else 0.0) \
-            + (lambda_scorer * scorer_lp if lambda_scorer else 0.0)
+        joint = _joint(lambda_lat, lat, lambda_scorer, scorer_lp)
         entries.append(RescoredEntry(tokens, joint, lat, scorer_lp))
     entries.sort(key=_entry_key)
-    return entries, rejected
+    return entries
 
 
 def rescore_nbest_naive(nbest: NBestList, scorer, lambda_lat: float = 1.0,
-                        lambda_scorer: float = 1.0,
-                        lattice: PosteriorLattice | None = None) -> RescoreResult:
+                        lambda_scorer: float = 1.0) -> RescoreResult:
     """Rescore each hypothesis independently, left to right.
 
     Costs length+1 predict calls per hypothesis (one per token plus the
-    eos term). The lattice term is taken from the list; pass lattice to
-    recompute it instead, in which case hypotheses the lattice rejects
-    are reported in rejected and left out of the ranking. The lambdas
-    follow DecoderConfig's rules (check_lambdas).
+    eos term). The lattice term is taken from the list, and the joint
+    score is the decoder's weighted sum (_joint). The lambdas follow
+    DecoderConfig's rules (check_lambdas).
     """
     check_lambdas(lambda_lat, lambda_scorer)
     scorer_logprobs: dict[tuple[int, ...], float] = {}
@@ -135,14 +123,12 @@ def rescore_nbest_naive(nbest: NBestList, scorer, lambda_lat: float = 1.0,
         calls += 1
         total += pred.eos_logprob
         scorer_logprobs[tokens] = total
-    ranked, rejected = _combine(nbest, scorer_logprobs, lambda_lat,
-                                lambda_scorer, lattice)
-    return RescoreResult(ranked, calls, rejected)
+    return RescoreResult(_combine(nbest, scorer_logprobs, lambda_lat, lambda_scorer),
+                         calls)
 
 
 def rescore_nbest_dfs(nbest: NBestList, scorer, lambda_lat: float = 1.0,
-                      lambda_scorer: float = 1.0,
-                      lattice: PosteriorLattice | None = None) -> RescoreResult:
+                      lambda_scorer: float = 1.0) -> RescoreResult:
     """Rescore via depth-first traversal of the hypotheses' prefix trie.
 
     Scorer states are reused along shared prefixes, so the predict-call
@@ -175,6 +161,5 @@ def rescore_nbest_dfs(nbest: NBestList, scorer, lambda_lat: float = 1.0,
         prefix, acc = prefix + (token,), acc + pred.logprob(token)
         for t in sorted(child, reverse=True):
             stack.append((t, child, state, prefix, acc))
-    ranked, rejected = _combine(nbest, scorer_logprobs, lambda_lat,
-                                lambda_scorer, lattice)
-    return RescoreResult(ranked, calls, rejected)
+    return RescoreResult(_combine(nbest, scorer_logprobs, lambda_lat, lambda_scorer),
+                         calls)

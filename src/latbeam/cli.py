@@ -71,18 +71,23 @@ def _load_symbols(path: str) -> SymbolTable:
     return parse_symbols(_read_text(path))
 
 
+def _open_copy(symbols: SymbolTable) -> SymbolTable:
+    """A copy that takes new words, with ids past every lattice token's;
+    the table lattices are read with stays closed."""
+    vocab = copy.deepcopy(symbols)
+    vocab.closed = False
+    return vocab
+
+
 def _make_scorer(args, symbols: SymbolTable):
     if args.scorer == "uniform":
         return UniformScorer(symbols.ids())
     if args.model is None:
         raise LatbeamError(f"--scorer {args.scorer} needs --model")
-    # scorer files may mention words beyond the lattice vocabulary; they
-    # extend an open copy, never the table lattices are read with
-    vocab = copy.deepcopy(symbols)
-    vocab.closed = False
+    # scorer files may mention words beyond the lattice vocabulary
     load = load_ngram_model if args.scorer == "ngram" else load_table_scorer
     with _file_errors(args.model):
-        return load(args.model, vocab)
+        return load(args.model, _open_copy(symbols))
 
 
 def _decoder_config(args) -> DecoderConfig:
@@ -322,8 +327,10 @@ def cmd_tune(args) -> int:
     lattices = [lattice for _, lattice in batch]
     if batch.status:
         return batch.status
-    references = [[symbols.id_of(t) for t in sent]
-                  for sent in _read_sentences(args.refs)]
+    # a reference word no lattice holds gets an id of its own, which no
+    # hypothesis can match
+    vocab = _open_copy(symbols)
+    references = [[vocab.add(t) for t in sent] for sent in _read_sentences(args.refs)]
     if len(references) != len(lattices):
         raise LatbeamError(f"{args.refs}: {len(references)} references "
                            f"for {len(lattices)} lattices")

@@ -8,13 +8,14 @@ opinion of the same token:
 where the scorer term is the token's own mass when the scorer knows it
 and the unknown-word mass otherwise; several unknown arcs out of one
 state each get the full unk mass. Finishing costs the lattice's stop
-mass plus the scorer's eos mass, weighted the same way. The search is
-breadth-first and output-synchronous: every live hypothesis is expanded
-once per iteration (one node expansion = one scorer predict call), and
-finished hypotheses ride along in the same beam untouched. One loop
-serves this decoder and the unconstrained baseline; it calls the
-scorer's consume only for hypotheses that survive the beam and reads
-prefixes back through parent pointers.
+mass plus the scorer's eos mass, weighted the same way. That weighted
+sum is written once, in _joint, which n-best rescoring shares too. The
+search is breadth-first and output-synchronous: every live hypothesis
+is expanded once per iteration (one node expansion = one scorer
+predict call), and finished hypotheses ride along in the same beam
+untouched. One loop serves this decoder and the unconstrained baseline;
+it calls the scorer's consume only for hypotheses that survive the
+beam and reads prefixes back through parent pointers.
 """
 
 from __future__ import annotations
@@ -91,31 +92,16 @@ def local_log_norm(pred: Prediction, state_tokens) -> float:
     return logsumexp(pred.logprob(t) for t in state_tokens)
 
 
-def joint_step_logprob(succ, pred: Prediction, cfg: DecoderConfig,
-                       state_tokens=None) -> float:
-    """Joint log score of extending a hypothesis along one lattice arc.
+def _joint(lambda_lat: float, lattice_term: float, lambda_scorer: float,
+           scorer_term: float) -> float:
+    """The one weighted sum every joint score is: decode steps, decode
+    stop terms and n-best rescoring.
 
-    With local_softmax the scorer mass is renormalized over the tokens on
-    the outgoing arcs of the current lattice state, which must be passed
-    as state_tokens. Zero-weight terms are dropped outright so a lambda
-    of 0 really removes that model.
+    A zero lambda drops its term outright, so a lambda of 0 really
+    removes that model and 0 * -inf never becomes NaN.
     """
-    score = cfg.lambda_lat * succ.cond_logprob if cfg.lambda_lat else 0.0
-    if not cfg.lambda_scorer:
-        return score
-    lp = pred.logprob(succ.token)
-    if cfg.local_softmax:
-        if state_tokens is None:
-            raise ValueError("local_softmax needs the current state's arc tokens")
-        lp -= local_log_norm(pred, state_tokens)
-    return score + cfg.lambda_scorer * lp
-
-
-def _end_score(final_logprob: float, pred: Prediction, cfg: DecoderConfig) -> float:
-    score = cfg.lambda_lat * final_logprob if cfg.lambda_lat else 0.0
-    if cfg.lambda_scorer:
-        score += cfg.lambda_scorer * pred.eos_logprob
-    return score
+    return ((lambda_lat * lattice_term if lambda_lat else 0.0)
+            + (lambda_scorer * scorer_term if lambda_scorer else 0.0))
 
 
 def _beam_search(start: int, scorer, width: int, max_steps: int,
@@ -183,14 +169,21 @@ def decode(lattice: PosteriorLattice, scorer,
         cfg = DecoderConfig()
     max_steps = cfg.max_steps or max(1, 3 * lattice.depth)
 
+    lambda_lat, lambda_scorer = cfg.lambda_lat, cfg.lambda_scorer
+    # local_softmax renormalizes the scorer mass over the tokens on a
+    # state's arcs, once per state; a dropped scorer term needs no norm
+    renormalize = cfg.local_softmax and lambda_scorer
+
     def expand(state, pred):
         arcs, final_logprob = lattice.successors(state)
-        state_tokens = [s.token for s in arcs] if cfg.local_softmax else None
+        logprob = pred.logprob
+        norm = local_log_norm(pred, [s.token for s in arcs]) if renormalize else 0.0
         steps = []
         for s in arcs:
-            steps.append((s.token, joint_step_logprob(s, pred, cfg, state_tokens), s.next_state))
+            step = _joint(lambda_lat, s.cond_logprob, lambda_scorer, logprob(s.token) - norm)
+            steps.append((s.token, step, s.next_state))
         if final_logprob == NEG_INF:
             return steps, None
-        return steps, _end_score(final_logprob, pred, cfg)
+        return steps, _joint(lambda_lat, final_logprob, lambda_scorer, pred.eos_logprob)
 
     return _beam_search(lattice.start, scorer, cfg.beam, max_steps, expand)

@@ -38,7 +38,7 @@ from .errors import (
     PathCountError,
     SemiringError,
 )
-from .semiring import INF
+from .semiring import INF, STOCHASTIC_TOL
 from .wfsa import EPS, Arc, Wfsa, _accessible, _coaccessible, _new, topological_order
 
 
@@ -163,10 +163,10 @@ def determinize(w: Wfsa) -> Wfsa:
     return _determinize(w, _require_acyclic(w, "determinize"))[0]
 
 
-def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int] | None]:
+def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
     """determinize without its checks, for epsilon-free w with the
-    topological order given. Also returns the result's topological order
-    when the fast path knows it, else None.
+    topological order given. Also returns the result's topological
+    order. An input with no states gives an empty automaton.
 
     The fast path detects determinism in its own pass. On the first
     repeated label out of a state, or the first infinite or NaN arc
@@ -174,6 +174,8 @@ def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int] | None]:
     gives a NaN residual, and NaN subsets never compare equal, so the
     subset construction does more there than renumber.
     """
+    if not w.num_states:
+        return Wfsa(w.semiring), []
     arcs, finals = w.arcs, w.finals
     renum = [-1] * w.num_states
     renum[w.start] = 0
@@ -184,7 +186,7 @@ def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int] | None]:
         prev = EPS
         for label, weight, dst in sorted(arcs[q]):
             if label == prev or not -INF < weight < INF:
-                return _subsets(w), None
+                return _subsets(w, order)
             prev = label
             nid = renum[dst]
             if nid < 0:
@@ -200,17 +202,25 @@ def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int] | None]:
     return out, [renum[q] for q in order if renum[q] >= 0]
 
 
-def _subsets(w: Wfsa) -> Wfsa:
+def _subsets(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
     """The weighted subset construction of determinize, for any
-    epsilon-free acyclic input."""
+    epsilon-free acyclic input with the topological order given. Also
+    returns the result's topological order: subsets sorted by the
+    smallest input position among their members, ties by subset id. An
+    arc into a subset comes from a member of the source subset that
+    precedes each of its targets, so it strictly raises that minimum."""
     plus = semiring.plus_for(w.semiring)
     arcs, finals = w.arcs, w.finals
+    position = [0] * w.num_states
+    for i, q in enumerate(order):
+        position[q] = i
 
     out = Wfsa(w.semiring)
     out.add_state()
     out.start = 0
     start_key = ((w.start, 0.0),)
     index: dict[tuple, int] = {start_key: 0}
+    first = [position[w.start]]    # smallest member position of each subset
     queue = deque([start_key])
     while queue:
         key = queue.popleft()
@@ -241,9 +251,10 @@ def _subsets(w: Wfsa) -> Wfsa:
             if nid is None:
                 nid = out.add_state()
                 index[new_key] = nid
+                first.append(min(position[dst] for dst, _ in ordered))
                 queue.append(new_key)
             out_arcs.append(_new(Arc, (label, total, nid)))
-    return out
+    return out, sorted(range(len(first)), key=first.__getitem__)  # stable: ties by id
 
 
 def minimize(w: Wfsa) -> Wfsa:
@@ -352,7 +363,7 @@ def _push_log(w: Wfsa, order: list[int]) -> tuple[Wfsa, float]:
     return out, potential[w.start] if w.num_states else 0.0
 
 
-def check_stochastic(w: Wfsa, tol: float = 1e-6) -> bool:
+def check_stochastic(w: Wfsa, tol: float = STOCHASTIC_TOL) -> bool:
     """True when every accessible state's outgoing mass is 1 within tol.
 
     Mass is the log_add of all outgoing arc costs together with the

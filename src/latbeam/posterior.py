@@ -63,13 +63,13 @@ class PosteriorLattice:
     """Deterministic stochastic acceptor with per-state token lookup.
 
     Construction verifies the contract (log semiring, acyclic,
-    deterministic, stochastic within tol) and indexes each state's arcs
-    by token for binary search. raw_total records the weight stripped off
-    the initial state during pushing, i.e. the negative log of the raw
-    lattice's total mass.
+    deterministic, stochastic within semiring.STOCHASTIC_TOL) and indexes
+    each state's arcs by token for binary search. raw_total records the
+    weight stripped off the initial state during pushing, i.e. the
+    negative log of the raw lattice's total mass.
     """
 
-    def __init__(self, inner: Wfsa, raw_total: float = 0.0, tol: float = 1e-6):
+    def __init__(self, inner: Wfsa, raw_total: float = 0.0):
         if inner.semiring != semiring.LOG:
             raise SemiringError("posterior lattice must be tagged log")
         if not inner.num_states:
@@ -100,9 +100,9 @@ class PosteriorLattice:
             depth[q] = d
             labels[q] = row_labels
             successors[q] = tuple(row)
-        if not ops.check_stochastic(inner, tol):
+        if not ops.check_stochastic(inner):
             raise NotStochasticError(
-                f"outgoing mass differs from 1 by more than {tol}")
+                f"outgoing mass differs from 1 by more than {semiring.STOCHASTIC_TOL}")
         self.inner = inner
         self.raw_total = raw_total
         self._final_logprob = final_logprob
@@ -177,7 +177,7 @@ class PosteriorLattice:
         return lp + self._final_logprob[state]
 
 
-def prepare(raw: Wfsa, tol: float = 1e-6, stages: dict | None = None) -> PosteriorLattice:
+def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     """Full preprocessing pipeline: raw lattice in, posterior lattice out.
 
     The input costs are read as unnormalized log masses, so epsilon
@@ -190,7 +190,7 @@ def prepare(raw: Wfsa, tol: float = 1e-6, stages: dict | None = None) -> Posteri
     the log-retagged input, but the input is checked once: one topological
     order after epsilon removal, and each later stage is handed what the
     stage before it established (epsilon-free, deterministic, trimmed,
-    and its output's topological order where known). The PosteriorLattice
+    and its output's topological order). The PosteriorLattice
     still verifies the result in full.
 
     When stages is given, the wall-clock seconds of each of STAGES are
@@ -205,8 +205,6 @@ def prepare(raw: Wfsa, tol: float = 1e-6, stages: dict | None = None) -> Posteri
     if not work.finals:
         raise EmptyLatticeError("lattice accepts nothing")
     work, order = ops._determinize(work, ops._require_acyclic(work, "determinize"))
-    if order is None:
-        order = topological_order(work)
     t1 = time.perf_counter()
     work, order = ops._minimize(work, order)
     t2 = time.perf_counter()
@@ -216,4 +214,4 @@ def prepare(raw: Wfsa, tol: float = 1e-6, stages: dict | None = None) -> Posteri
         for name, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
             stages[name] = stages.get(name, 0.0) + seconds
     log.info("pushed lattice: discarded total weight %.6f", total)
-    return PosteriorLattice(pushed, raw_total=total, tol=tol)
+    return PosteriorLattice(pushed, raw_total=total)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ScorerFormatError
+from .semiring import STOCHASTIC_TOL
 
 UNK_ID = -1
 BOS_ID = -2
@@ -246,7 +247,7 @@ def load_ngram_model(path, symbols) -> NgramScorer:
     """Read a model written by write_ngram_model.
 
     Each stored context row must still be a proper distribution within
-    1e-6, otherwise the file is rejected naming the context.
+    STOCHASTIC_TOL, otherwise the file is rejected naming the context.
     """
     rows: dict[tuple[int, ...], dict[int, float]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -276,7 +277,7 @@ def load_ngram_model(path, symbols) -> NgramScorer:
             raise ScorerFormatError(
                 f"{path}: context {ctx!r} lacks {UNK_SYM} or {EOS_SYM}")
         total = logsumexp(row.values())
-        if not abs(total) <= 1e-6:
+        if not abs(total) <= STOCHASTIC_TOL:
             raise ScorerFormatError(
                 f"{path}: context {ctx!r} sums to exp({total:.3e}), not 1")
         table[ctx] = _to_prediction(row)
@@ -294,7 +295,7 @@ class TableScorer:
     """
 
     def __init__(self, rows: dict[tuple[int, ...], Prediction],
-                 vocab=None, tol: float = 1e-6):
+                 vocab=None):
         if vocab is None:
             vocab = set()
             for pred in rows.values():
@@ -302,7 +303,7 @@ class TableScorer:
         self.vocab = frozenset(vocab)
         for prefix, pred in rows.items():
             total = pred.log_norm()
-            if not abs(total) <= tol:
+            if not abs(total) <= STOCHASTIC_TOL:
                 raise ScorerFormatError(
                     f"prefix {prefix!r} sums to exp({total:.3e}), not 1")
         self.rows = dict(rows)
@@ -319,7 +320,7 @@ class TableScorer:
         return tuple(state) + (event,)
 
 
-def load_table_scorer(path, symbols, tol: float = 1e-6) -> TableScorer:
+def load_table_scorer(path, symbols) -> TableScorer:
     """Parse a table scorer file.
 
     Row format, one prefix per line:
@@ -327,9 +328,9 @@ def load_table_scorer(path, symbols, tol: float = 1e-6) -> TableScorer:
         tok tok ... | event:logprob event:logprob ...
 
     The prefix may be empty (line starts with '|'). Events must include
-    <unk> and </s>; each row must be a proper distribution within tol,
-    otherwise the offending prefix is named. Event names are split on the
-    last colon, so tokens may themselves contain colons.
+    <unk> and </s>; each row must be a proper distribution within
+    STOCHASTIC_TOL, otherwise the offending prefix is named. Event names
+    are split on the last colon, so tokens may themselves contain colons.
     """
     rows: dict[tuple[int, ...], Prediction] = {}
     vocab: set[int] = set()
@@ -362,13 +363,13 @@ def load_table_scorer(path, symbols, tol: float = 1e-6) -> TableScorer:
                     f"{path}: line {lineno}: row must include {UNK_SYM} and {EOS_SYM}")
             pred = _to_prediction(entries)
             total = pred.log_norm()
-            if not abs(total) <= tol:
+            if not abs(total) <= STOCHASTIC_TOL:
                 raise ScorerFormatError(
                     f"{path}: prefix {head.strip() or '(empty)'!r} sums to "
                     f"exp({total:.3e}), not 1")
             rows[prefix] = pred
             vocab.update(pred.in_vocab)
-    return TableScorer(rows, vocab, tol=tol)
+    return TableScorer(rows, vocab)
 
 
 def perplexity(scorer, corpus) -> float:

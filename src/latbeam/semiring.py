@@ -19,6 +19,10 @@ ONE = 0.0
 TROPICAL = "tropical"
 LOG = "log"
 
+# how far a distribution's log total may stray from 0 (= log 1) and still
+# count as normalized, for lattices and scorer rows alike
+STOCHASTIC_TOL = 1e-6
+
 
 def trop_add(a: float, b: float) -> float:
     """Tropical plus: the cheaper of two costs."""

@@ -238,13 +238,12 @@ def _parse_state(text: str, lineno: int) -> int:
 
 
 def parse_wfsa(text: str, symbols: SymbolTable,
-               semiring_tag: str = semiring.TROPICAL,
-               allow_empty: bool = False) -> Wfsa:
+               semiring_tag: str = semiring.TROPICAL) -> Wfsa:
     """Parse lattice text. See the module docstring for the format.
 
     Raises LatticeFormatError with a line number on malformed records, and
     UnknownSymbolError when the symbol table is closed and a token is new.
-    A lattice with no final state is rejected unless allow_empty is set.
+    A lattice with no final state is rejected.
     Repeated final lines for one state keep the last weight.
     """
     w = Wfsa(semiring_tag)
@@ -287,7 +286,7 @@ def parse_wfsa(text: str, symbols: SymbolTable,
             saw_record = True
     if not saw_record:
         raise LatticeFormatError("no records in lattice text")
-    if not w.finals and not allow_empty:
+    if not w.finals:
         raise LatticeFormatError("no final state")
     return w
 

@@ -33,7 +33,7 @@ from latbeam.ops import (
     n_shortest_strings,
     rm_epsilon,
 )
-from latbeam.posterior import prepare
+from latbeam.posterior import REJECT, prepare
 from latbeam.scorers import (
     Prediction,
     TableScorer,
@@ -254,7 +254,7 @@ def test_06_unk_behavior():
     for _ in range(30):
         lat = prepare(random_acyclic_wfsa(rng, max_states=16, n_labels=8))
         best = decode(lat, scorer).best.prefix
-        if lat.accepted_logprob(best) is None:
+        if lat.accepted_logprob(best) is REJECT:
             ok = False
         if any(t < 1 for t in best):
             ok = False
@@ -341,7 +341,7 @@ def test_08_local_softmax(demo):
         outs = []
         for lat in posteriors:
             best = decode(lat, scorer, cfg).best.prefix
-            if lat.accepted_logprob(best) is None:
+            if lat.accepted_logprob(best) is REJECT:
                 ok = False
             outs.append(best)
         hyps[flag] = outs

@@ -199,15 +199,16 @@ class TestRescoreNaive:
                 2.0 * entry.lattice_logprob + 0.5 * entry.scorer_logprob,
                 abs=1e-12)
 
-    def test_lattice_recompute_records_rejects(self):
-        lat = prepare(l1())
-        nbest = NBestList([((A, B), -0.3), ((A, A), -0.9)])
-        result = rescore_nbest_naive(nbest, UniformScorer({A, B, C}),
-                                     lattice=lat)
-        assert result.rejected == [(A, A)]
-        assert [e.tokens for e in result.ranked] == [(A, B)]
-        assert result.ranked[0].lattice_logprob == pytest.approx(
-            lat.accepted_logprob((A, B)), abs=1e-12)
+    def test_zero_lambda_drops_its_term(self):
+        # the joint score is the decoder's rule: a dropped term adds 0.0,
+        # so a lattice term of -0.0 comes out as 0.0, and -inf never
+        # meets a zero weight
+        nbest = NBestList([((A,), -0.0), ((B,), -math.inf)])
+        scorer = UniformScorer({A, B, C})
+        result = rescore_nbest_naive(nbest, scorer, lambda_lat=1.0, lambda_scorer=0.0)
+        assert [math.copysign(1.0, e.joint_score) for e in result.ranked] == [1.0, -1.0]
+        result = rescore_nbest_naive(nbest, scorer, lambda_lat=0.0, lambda_scorer=1.0)
+        assert not any(math.isnan(e.joint_score) for e in result.ranked)
 
 
 @pytest.mark.parametrize("rescore", [rescore_nbest_naive, rescore_nbest_dfs])
@@ -282,11 +283,3 @@ class TestRescoreDfs:
         dfs = rescore_nbest_dfs(nbest, scorer)
         assert naive.ranked == dfs.ranked
         assert dfs.predict_calls <= naive.predict_calls
-
-    def test_rejects_recorded_like_naive(self):
-        lat = prepare(l1())
-        nbest = NBestList([((A, B), -0.3), ((B, B), -0.9)])
-        scorer = UniformScorer({A, B, C})
-        naive = rescore_nbest_naive(nbest, scorer, lattice=lat)
-        dfs = rescore_nbest_dfs(nbest, scorer, lattice=lat)
-        assert naive.rejected == dfs.rejected == [(B, B)]

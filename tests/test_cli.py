@@ -1,5 +1,6 @@
 """Command line round trips on a small generated workspace."""
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import latbeam
 from latbeam import cli
+from latbeam.bleu import corpus_bleu
 from latbeam.cli import main
 from latbeam.posterior import PosteriorLattice
 from latbeam.wfsa import parse_symbols, parse_wfsa
@@ -187,6 +189,59 @@ class TestNbestRescore:
             assert set(r) == {"id", "tokens", "score", "predict_calls"}
 
 
+@pytest.fixture(scope="module")
+def nbest_file(ws, tmp_path_factory):
+    path = tmp_path_factory.mktemp("nbest") / "hyps.nbest"
+    assert main(["nbest", str(ws / "pushed"), "--symtab", str(ws / "symtab.txt"),
+                 "--nbest", "20", "--out", str(path)]) == 0
+    return path
+
+
+class TestPinnedOutput:
+    """Scored output pinned by digest of stdout and stderr, so a rewrite of
+    the joint score that moves a float in the last place, or the sign of
+    a zero, fails here."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("decode",
+         "e923494fb5244160d10fbea99d4fc29ace18382ee1a2ad8f0aaee7f11c84cd1a"),
+        ("decode_local_softmax",
+         "cd668febfd956ac5b89f2d5e43110cd880a9bf3e2c563c6bd1c3bc8bd237ef19"),
+        ("rescore_dfs",
+         "6b8af312e3f9d57ca156d88cc7c510a35527a4ec66235653d5c01c96c686ef0d"),
+        ("rescore_naive_lattice_only",
+         "0dd78e2b6e9075a81fef1a1c90910fe0a085c941dcc4249487d4be38af1cdc80"),
+        ("rescore_dfs_scorer_only",
+         "e1cff4bfe8afc87c4895d8c19e8e98eb7f0f6ecd2c0837d677ce9a0cfd2eb49b"),
+        ("tune",
+         "aa399e3d22dde645f62727f32607079b9afaab19bcbd8573cfd445c9c66e6a45"),
+        ("tune_local_softmax",
+         "f1f9ab4038c7258aed9f5e980cf07ba761761356edca5c2e03fcc2e7a750ff42"),
+    ])
+    def test_json_bytes_unchanged(self, ws, nbest_file, capsys, name, digest):
+        model = ["--symtab", str(ws / "symtab.txt"), "--scorer", "ngram",
+                 "--model", str(ws / "model.txt"), "--json"]
+        tune = ["tune", str(ws / "pushed"), str(ws / "refs.txt"), *model,
+                "--grid", "0:1:0.5"]
+        rescore = ["rescore", str(nbest_file), *model]
+        argv = {
+            "decode": ["decode", str(ws / "pushed"), *model],
+            "decode_local_softmax": ["decode", str(ws / "pushed"), *model,
+                                     "--local-softmax"],
+            "rescore_dfs": rescore,
+            "rescore_naive_lattice_only": [*rescore, "--mode", "naive",
+                                           "--lambda-scorer", "0"],
+            "rescore_dfs_scorer_only": [*rescore, "--lambda-lat", "0"],
+            "tune": tune,
+            "tune_local_softmax": [*tune, "--local-softmax"],
+        }[name]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        h = hashlib.sha256(captured.out.encode())
+        h.update(captured.err.encode())
+        assert h.hexdigest() == digest
+
+
 class TestScoredPipelines:
     def test_bleu_command(self, ws, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -210,6 +265,20 @@ class TestScoredPipelines:
         assert [lam for lam, _ in record["history"]] == [0.0, 0.5, 1.0]
         assert record["bleu"] == max(s for _, s in record["history"])
         assert record["lambda_scorer"] == 1.0
+
+    def test_tune_reference_word_no_lattice_holds(self, ws, tmp_path, capsys):
+        refs = [line.split() for line in (ws / "refs.txt").read_text().splitlines()]
+        refs[0].append("qqq")
+        (tmp_path / "refs.txt").write_text("".join(" ".join(r) + "\n" for r in refs))
+        done = run_cli("tune", ws / "pushed", tmp_path / "refs.txt",
+                       "--symtab", ws / "symtab.txt", "--scorer", "ngram",
+                       "--model", ws / "model.txt", "--grid", "1", "--json")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        # tune's one grid point decodes as decode does with its defaults
+        assert main(decode_args(ws, "--json")) == 0
+        hyps = [json.loads(line)["tokens"] for line in capsys.readouterr().out.splitlines()]
+        assert json.loads(done.stdout)["bleu"] == corpus_bleu(hyps, refs).score
 
     def test_train_without_symtab(self, ws, tmp_path, capsys):
         model = tmp_path / "fresh.txt"

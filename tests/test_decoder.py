@@ -8,14 +8,14 @@ import pytest
 from latbeam.decoder import (
     DecodeResult,
     DecoderConfig,
+    _joint,
     decode,
-    joint_step_logprob,
     local_log_norm,
 )
 from latbeam.errors import SearchError
 from latbeam.ops import enumerate_paths
-from latbeam.posterior import prepare
-from latbeam.scorers import Prediction, TableScorer, UniformScorer, train_ngram
+from latbeam.posterior import REJECT, prepare
+from latbeam.scorers import UNK_ID, Prediction, TableScorer, UniformScorer, train_ngram
 from latbeam.synth import lattice_prefixes, random_acyclic_wfsa, random_table_scorer
 from latbeam.wfsa import Wfsa
 
@@ -51,9 +51,34 @@ class CountingScorer:
         return self.inner.consume(state, token)
 
 
+class CountingPrediction:
+    """Passes logprob through to pred and counts the calls in tally[-1]."""
+
+    def __init__(self, pred, tally):
+        self.pred, self.tally = pred, tally
+        self.eos_logprob = pred.eos_logprob
+
+    def logprob(self, token):
+        self.tally[-1] += 1
+        return self.pred.logprob(token)
+
+
+class LogprobCountingScorer(CountingScorer):
+    """Also counts pred.logprob calls, one tally per predict call."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.logprob_calls = []
+
+    def predict(self, state):
+        self.logprob_calls.append(0)
+        return CountingPrediction(super().predict(state), self.logprob_calls)
+
+
 def reference_decode(lattice, scorer, cfg):
     """Plain beam search: every candidate copies its prefix and consumes
-    eagerly; candidates sort on (-score, len(prefix), prefix).
+    eagerly; candidates sort on (-score, len(prefix), prefix). The joint
+    score is spelled out here, not borrowed from the decoder.
 
     Returns (best, beam) as (prefix, score, finished) triples.
     """
@@ -72,10 +97,14 @@ def reference_decode(lattice, scorer, cfg):
                 continue
             pred = scorer.predict(sstate)
             arcs, final_logprob = lattice.successors(state)
-            tokens = [s.token for s in arcs] if cfg.local_softmax else None
             for succ in arcs:
-                candidates.append((prefix + (succ.token,),
-                                   score + joint_step_logprob(succ, pred, cfg, tokens),
+                step = cfg.lambda_lat * succ.cond_logprob if cfg.lambda_lat else 0.0
+                if cfg.lambda_scorer:
+                    lp = pred.logprob(succ.token)
+                    if cfg.local_softmax:
+                        lp -= local_log_norm(pred, [s.token for s in arcs])
+                    step += cfg.lambda_scorer * lp
+                candidates.append((prefix + (succ.token,), score + step,
                                    False, succ.next_state,
                                    scorer.consume(sstate, succ.token)))
             if final_logprob != -math.inf:
@@ -121,6 +150,8 @@ class TestDecoderConfig:
 
 
 class TestJointStep:
+    """The one joint-score rule, and the decoder's use of it per arc."""
+
     def setup_method(self):
         self.lat = prepare(l1())
         state = self.lat.walk((A,))
@@ -130,27 +161,35 @@ class TestJointStep:
                                math.log(0.15), math.log(0.25))
 
     def test_lattice_only(self):
-        cfg = DecoderConfig(lambda_lat=1.0, lambda_scorer=0.0)
-        got = joint_step_logprob(self.succ_b, self.pred, cfg)
-        assert got == self.succ_b.cond_logprob
+        cond = self.succ_b.cond_logprob
+        assert _joint(1.0, cond, 0.0, self.pred.logprob(B)) == cond
+        # a zero lambda drops its term: 0 * -inf never becomes NaN
+        assert _joint(1.0, cond, 0.0, -math.inf) == cond
+        assert _joint(0.0, -math.inf, 1.0, cond) == cond
 
     def test_scorer_only_in_vocab(self):
-        cfg = DecoderConfig(lambda_lat=0.0, lambda_scorer=1.0)
-        got = joint_step_logprob(self.succ_b, self.pred, cfg)
+        got = _joint(0.0, self.succ_b.cond_logprob, 1.0, self.pred.logprob(B))
         assert got == pytest.approx(math.log(0.3), abs=1e-12)
 
     def test_weighted_sum(self):
-        cfg = DecoderConfig(lambda_lat=0.5, lambda_scorer=2.0)
         want = 0.5 * self.succ_b.cond_logprob + 2.0 * math.log(0.3)
-        got = joint_step_logprob(self.succ_b, self.pred, cfg)
+        got = _joint(0.5, self.succ_b.cond_logprob, 2.0, math.log(0.3))
         assert got == pytest.approx(want, abs=1e-12)
+
+    def _finished_scores(self, lat, cfg):
+        rows = {(): Prediction({A: math.log(0.6)}, math.log(0.3), math.log(0.1)),
+                (A,): self.pred}
+        rows.update(uniform_rows_after([(A, B), (A, C), (A, UNK_ID)], {A, B, C}))
+        result = decode(lat, table_over(rows, {A, B, C}), cfg)
+        return {h.prefix: h.score for h in result.beam if h.finished}
 
     def test_oov_token_takes_unk_mass(self):
         lat = prepare(self._with_oov())
-        succ = lat.arc_for(lat.walk((A,)), X)
-        cfg = DecoderConfig(lambda_lat=0.0, lambda_scorer=1.0)
-        got = joint_step_logprob(succ, self.pred, cfg)
-        assert got == pytest.approx(math.log(0.15), abs=1e-12)
+        cfg = DecoderConfig(beam=4, lambda_lat=0.0, lambda_scorer=1.0)
+        eos = math.log(1.0 / 5.0)
+        want = math.log(0.6) + math.log(0.15) + eos
+        got = self._finished_scores(lat, cfg)[(A, X)]
+        assert got == pytest.approx(want, abs=1e-12)
 
     @staticmethod
     def _with_oov() -> Wfsa:
@@ -163,20 +202,29 @@ class TestJointStep:
         return w
 
     def test_local_softmax_renormalizes_over_state_tokens(self):
-        cfg = DecoderConfig(local_softmax=True)
+        cfg = DecoderConfig(beam=4, local_softmax=True)
         tokens = (B, C)
         norm = local_log_norm(self.pred, tokens)
-        want = self.succ_b.cond_logprob + (math.log(0.3) - norm)
-        got = joint_step_logprob(self.succ_b, self.pred, cfg,
-                                 state_tokens=tokens)
+        # A is the only token out of the start state, so it costs nothing
+        eos = math.log(1.0 / 5.0)
+        want = self.succ_b.cond_logprob + (math.log(0.3) - norm) + eos
+        got = self._finished_scores(self.lat, cfg)[(A, B)]
         assert got == pytest.approx(want, abs=1e-12)
         mass = sum(math.exp(self.pred.logprob(t) - norm) for t in tokens)
         assert mass == pytest.approx(1.0, abs=1e-12)
 
-    def test_local_softmax_requires_state_tokens(self):
-        cfg = DecoderConfig(local_softmax=True)
-        with pytest.raises(ValueError):
-            joint_step_logprob(self.succ_b, self.pred, cfg)
+    def test_local_softmax_norm_once_per_state(self):
+        # a star of k arcs: the norm reads each arc's token once, and so
+        # does the arc's own term, so logprob calls grow linearly in k
+        for k in (10, 20, 40):
+            w = Wfsa()
+            for token in range(1, k + 1):
+                w.add_arc(0, token, 0.0, 1)
+            w.set_final(1)
+            scorer = LogprobCountingScorer(UniformScorer(set(range(1, k + 1))))
+            decode(prepare(w), scorer, DecoderConfig(beam=1, local_softmax=True))
+            assert scorer.logprob_calls[0] <= 2 * k
+            assert scorer.logprob_calls[1:] == [0]
 
 
 class TestLocalLogNorm:
@@ -253,7 +301,6 @@ class TestDecode:
             (A,): Prediction({A: lp(0.1), B: lp(0.3)}, lp(0.4), lp(0.2)),
         }
         rows.update(uniform_rows_after([(A, B)], {A, B}))
-        from latbeam.scorers import UNK_ID
         rows[(A, UNK_ID)] = Prediction({A: lp(0.1), B: lp(0.1)},
                                        lp(0.1), lp(0.7))
         scorer = table_over(rows, {A, B})
@@ -271,7 +318,6 @@ class TestDecode:
         assert beam_scores[(A, B)] == pytest.approx(score_ab, abs=1e-12)
 
     def test_output_never_contains_unk_placeholder(self):
-        from latbeam.scorers import UNK_ID
         rng = random.Random(97)
         scorer = train_ngram([[1, 2], [2, 3]], order=2)
         for _ in range(20):
@@ -279,7 +325,7 @@ class TestDecode:
                                               n_labels=12))
             result = decode(lat, scorer, DecoderConfig())
             assert UNK_ID not in result.best.prefix
-            assert lat.accepted_logprob(result.best.prefix) is not None
+            assert lat.accepted_logprob(result.best.prefix) is not REJECT
 
     def test_ties_break_toward_shorter_then_lexicographic(self):
         w = Wfsa()
@@ -319,7 +365,7 @@ class TestDecode:
             lat = prepare(random_acyclic_wfsa(rng, max_states=15))
             cfg = DecoderConfig(local_softmax=True)
             result = decode(lat, scorer, cfg)
-            assert lat.accepted_logprob(result.best.prefix) is not None
+            assert lat.accepted_logprob(result.best.prefix) is not REJECT
 
     def test_lambda_scaling_leaves_argmax_unchanged(self):
         rng = random.Random(103)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from latbeam import semiring
+from latbeam import ops, semiring
 from latbeam.errors import (
     CyclicLatticeError,
     EpsilonArcError,
@@ -59,6 +59,12 @@ def chain(costs, labels=None) -> Wfsa:
 
 def string_costs(w: Wfsa) -> dict[tuple[int, ...], float]:
     return aggregate_strings(enumerate_paths(w), w.semiring)
+
+
+def assert_topological(w: Wfsa, order: list[int]) -> None:
+    assert sorted(order) == list(range(w.num_states))
+    pos = {q: i for i, q in enumerate(order)}
+    assert all(pos[q] < pos[a.dst] for q in range(w.num_states) for a in w.arcs[q])
 
 
 class TestConnect:
@@ -208,9 +214,16 @@ class TestDeterminize:
         assert string_costs(out) == pytest.approx(string_costs(w))
 
     @pytest.mark.parametrize("tag", [semiring.TROPICAL, semiring.LOG])
-    def test_fast_path_matches_subset_construction(self, tag):
+    def test_fast_path_matches_subset_construction(self, tag, monkeypatch):
         # deterministic input is renumbered instead of subset-constructed;
         # the result must be the one the subset construction builds
+        handed_over = []
+
+        def counting(w, order):
+            handed_over.append(w)
+            return _subsets(w, order)
+
+        monkeypatch.setattr(ops, "_subsets", counting)
         symbols = SymbolTable.from_tokens(f"w{i}" for i in range(1, 7))
         rng = random.Random(97)
         for case in range(60):
@@ -231,18 +244,17 @@ class TestDeterminize:
             w.set_final(n - 1, rng.uniform(0.0, 2.0))
             if case % 3 == 0:
                 w.set_final(w.start, rng.uniform(0.0, 2.0))
+            handed_over.clear()
             out, order = _determinize(w, topological_order(w))
-            assert (order is None) == inf_arc
+            # an infinite arc weight hands over to the subset construction
+            assert handed_over == ([w] if inf_arc else [])
             assert repr(determinize(w).arcs) == repr(out.arcs)
-            ref = _subsets(w)
+            ref, ref_order = _subsets(w, topological_order(w))
             assert serialize_wfsa(out, symbols) == serialize_wfsa(ref, symbols)
             assert repr(out.arcs) == repr(ref.arcs)
             assert repr(sorted(out.finals.items())) == repr(sorted(ref.finals.items()))
-            if order is not None:
-                assert sorted(order) == list(range(out.num_states))
-                pos = {q: i for i, q in enumerate(order)}
-                assert all(pos[q] < pos[a.dst]
-                           for q in range(out.num_states) for a in out.arcs[q])
+            for result, result_order in ((out, order), (ref, ref_order)):
+                assert_topological(result, result_order)
 
     def test_rejects_epsilon_input(self):
         w = Wfsa()
@@ -273,6 +285,19 @@ class TestDeterminize:
             assert set(got) == set(want)
             for s, cost in want.items():
                 assert got[s] == pytest.approx(cost, abs=1e-9)
+
+    def test_subset_construction_reports_topological_order(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            w = random_acyclic_wfsa(rng, max_states=30)
+            out, order = _subsets(w, topological_order(w))
+            assert_topological(out, order)
+            assert repr(out.arcs) == repr(determinize(w).arcs)
+
+    def test_empty_input_gives_empty_automaton(self):
+        for tag in (semiring.TROPICAL, semiring.LOG):
+            out = determinize(Wfsa(tag))
+            assert (out.num_states, out.finals, out.semiring) == (0, {}, tag)
 
 
 class TestMinimize:

@@ -196,7 +196,9 @@ class TestValidateOnce:
     @pytest.mark.parametrize("raw", [
         lambda: sausage_lattice(2000, seed=13),
         lambda: _two_arc_lattice(10_000, random.Random(443)),  # criterion 12's
-    ], ids=["sausage", "acceptance_12"])
+        # needs the subset construction, which reports its own order
+        lambda: build_demo(seed=13, n_sentences=1).lattices[0],
+    ], ids=["sausage", "acceptance_12", "demo_subsets"])
     def test_at_most_two_topological_orders(self, monkeypatch, raw):
         # one after epsilon removal, one in the PosteriorLattice check
         calls = []
