@@ -53,8 +53,6 @@ from .ops import (
 from .posterior import (
     REJECT,
     PosteriorLattice,
-    Successor,
-    SuccessorSet,
     prepare,
 )
 from .scorers import (

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -275,8 +276,9 @@ def _read_nbest_file(path, symbols) -> list[NBestList]:
             try:
                 logprob = float(lp_text)
             except ValueError:
-                raise LatbeamError(
-                    f"{path}: line {lineno}: bad logprob {lp_text!r}") from None
+                logprob = math.nan
+            if not math.isfinite(logprob):
+                raise LatbeamError(f"{path}: line {lineno}: bad logprob {lp_text!r}")
             tokens = tuple(symbols.id_of(t) for t in text.split())
             groups.setdefault(ident, []).append((tokens, logprob))
     lists = []
@@ -352,11 +354,17 @@ def cmd_tune(args) -> int:
 
 def _parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise LatbeamError(f"bad grid {spec!r}, expected start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        numbers = [float(p) for p in parts]
+    except ValueError:
+        raise LatbeamError(f"bad grid {spec!r}, expected numbers") from None
+    if not all(map(math.isfinite, numbers)):
+        raise LatbeamError(f"bad grid {spec!r}, values must be finite")
+    if len(numbers) == 1:
+        return numbers
+    start, stop, step = numbers
     if step <= 0:
         raise LatbeamError("grid step must be positive")
     values = []

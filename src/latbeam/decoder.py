@@ -3,7 +3,7 @@
 Each step of a hypothesis scores a lattice arc together with the scorer's
 opinion of the same token:
 
-    lambda_lat * cond_logprob + lambda_scorer * scorer term
+    lambda_lat * -arc.weight + lambda_scorer * scorer term
 
 where the scorer term is the token's own mass when the scorer knows it
 and the unknown-word mass otherwise; several unknown arcs out of one
@@ -175,13 +175,14 @@ def decode(lattice: PosteriorLattice, scorer,
     renormalize = cfg.local_softmax and lambda_scorer
 
     def expand(state, pred):
-        arcs, final_logprob = lattice.successors(state)
+        arcs = lattice.successors(state)
         logprob = pred.logprob
-        norm = local_log_norm(pred, [s.token for s in arcs]) if renormalize else 0.0
+        norm = local_log_norm(pred, [arc.label for arc in arcs]) if renormalize else 0.0
         steps = []
-        for s in arcs:
-            step = _joint(lambda_lat, s.cond_logprob, lambda_scorer, logprob(s.token) - norm)
-            steps.append((s.token, step, s.next_state))
+        for label, weight, dst in arcs:  # weight is the negative conditional log-probability
+            step = _joint(lambda_lat, -weight, lambda_scorer, logprob(label) - norm)
+            steps.append((label, step, dst))
+        final_logprob = lattice.final_logprob(state)
         if final_logprob == NEG_INF:
             return steps, None
         return steps, _joint(lambda_lat, final_logprob, lambda_scorer, pred.eos_logprob)

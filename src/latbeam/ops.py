@@ -123,7 +123,7 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
             closure[q] = acc
 
     out = Wfsa(w.semiring)
-    out.ensure_state(max(w.num_states - 1, 0))
+    out.ensure_state(w.num_states - 1)
     out.start = w.start
     for src in range(w.num_states):
         merged: dict[tuple[int, int], float] = {}

@@ -13,12 +13,11 @@ import logging
 import math
 import time
 from bisect import bisect_left
-from typing import NamedTuple
 
 from . import ops, semiring
 from .errors import (CyclicLatticeError, EmptyLatticeError, NotDeterministicError,
                      NotStochasticError, SemiringError)
-from .wfsa import EPS, Wfsa, _new, topological_order
+from .wfsa import EPS, Arc, Wfsa, topological_order
 
 log = logging.getLogger(__name__)
 
@@ -44,28 +43,15 @@ class _Reject:
 REJECT = _Reject()
 
 
-class Successor(NamedTuple):
-    """One outgoing arc seen as a predictive event; unpacks as
-    (token, cond_logprob, next_state, next_final_logprob)."""
-
-    token: int
-    cond_logprob: float
-    next_state: int
-    next_final_logprob: float
-
-
-class SuccessorSet(NamedTuple):
-    arcs: tuple[Successor, ...]
-    final_logprob: float
-
-
 class PosteriorLattice:
     """Deterministic stochastic acceptor with per-state token lookup.
 
     Construction verifies the contract (log semiring, acyclic,
     deterministic, stochastic within semiring.STOCHASTIC_TOL) and indexes
-    each state's arcs by token for binary search. raw_total records the
-    weight stripped off the initial state during pushing, i.e. the
+    each state's arcs by label for binary search. The index holds the
+    automaton's own Arc objects, in cost form: an arc's weight is the
+    negative conditional log-probability of its label. raw_total records
+    the weight stripped off the initial state during pushing, i.e. the
     negative log of the raw lattice's total mass.
     """
 
@@ -83,31 +69,26 @@ class PosteriorLattice:
             final_logprob[q] = -f
         # one label sort per state checks determinism (labels strictly
         # increasing, none epsilon) and orders the lookup index
-        labels: list[list[int]] = [[]] * n
-        successors: list[tuple[Successor, ...]] = [()] * n
+        rows: list[tuple[Arc, ...]] = [()] * n
         depth = [0] * n
         for q in reversed(order):
+            row = tuple(sorted(inner.arcs[q]))
             prev, d = EPS, 0
-            row_labels, row = [], []
-            for label, weight, dst in sorted(inner.arcs[q]):
+            for label, _, dst in row:
                 if label == prev or label == EPS:
                     raise NotDeterministicError("posterior lattice must be deterministic")
                 prev = label
                 if depth[dst] >= d:
                     d = depth[dst] + 1
-                row_labels.append(label)
-                row.append(_new(Successor, (label, -weight, dst, final_logprob[dst])))
             depth[q] = d
-            labels[q] = row_labels
-            successors[q] = tuple(row)
+            rows[q] = row
         if not ops.check_stochastic(inner):
             raise NotStochasticError(
                 f"outgoing mass differs from 1 by more than {semiring.STOCHASTIC_TOL}")
         self.inner = inner
         self.raw_total = raw_total
         self._final_logprob = final_logprob
-        self._labels = labels
-        self._successors = successors
+        self._rows = rows
         self.depth = depth[inner.start]
 
     @property
@@ -120,31 +101,38 @@ class PosteriorLattice:
 
     @property
     def vocabulary(self) -> set[int]:
-        return {label for labels in self._labels for label in labels}
+        return {arc.label for row in self._rows for arc in row}
 
-    def successors(self, state: int) -> SuccessorSet:
-        """All outgoing predictive events plus the state's own stop mass."""
-        return _new(SuccessorSet, (self._successors[state], self._final_logprob[state]))
+    def successors(self, state: int) -> tuple[Arc, ...]:
+        """The state's outgoing arcs sorted by label; each weight is the
+        negative conditional log-probability of its label."""
+        return self._rows[state]
 
-    def arc_for(self, state: int, token: int) -> Successor | None:
-        labels = self._labels[state]
-        i = bisect_left(labels, token)
-        if i < len(labels) and labels[i] == token:
-            return self._successors[state][i]
+    def arc_for(self, state: int, token: int) -> Arc | None:
+        row = self._rows[state]
+        i = bisect_left(row, (token,))
+        if i < len(row) and row[i].label == token:
+            return row[i]
         return None
 
     def final_logprob(self, state: int) -> float:
         return self._final_logprob[state]
 
+    def _walk(self, prefix) -> tuple[int | None, float]:
+        """The state a prefix reaches and the prefix's conditional
+        log-probability; None as the state when it leaves the lattice."""
+        state, logprob = self.start, 0.0
+        for token in prefix:
+            arc = self.arc_for(state, token)
+            if arc is None:
+                return None, logprob
+            logprob -= arc.weight
+            state = arc.dst
+        return state, logprob
+
     def walk(self, prefix) -> int | None:
         """Follow a token prefix from the start; None when it leaves the lattice."""
-        state = self.start
-        for token in prefix:
-            succ = self.arc_for(state, token)
-            if succ is None:
-                return None
-            state = succ.next_state
-        return state
+        return self._walk(prefix)[0]
 
     def prefix_logprob(self, prefix):
         """Total conditional log-probability of a prefix, or REJECT.
@@ -153,15 +141,8 @@ class PosteriorLattice:
         final_logprob(walk(prefix)) for the probability of the complete
         string.
         """
-        state = self.start
-        total = 0.0
-        for token in prefix:
-            succ = self.arc_for(state, token)
-            if succ is None:
-                return REJECT
-            total += succ.cond_logprob
-            state = succ.next_state
-        return total
+        state, logprob = self._walk(prefix)
+        return REJECT if state is None else logprob
 
     def accepted_logprob(self, tokens):
         """Log-probability of a complete accepted string, or REJECT.
@@ -169,12 +150,10 @@ class PosteriorLattice:
         REJECT covers both leaving the lattice and ending at a state with
         no stop mass.
         """
-        state = self.walk(tokens)
+        state, logprob = self._walk(tokens)
         if state is None or self._final_logprob[state] == NEG_INF:
             return REJECT
-        lp = self.prefix_logprob(tokens)
-        assert lp is not REJECT
-        return lp + self._final_logprob[state]
+        return logprob + self._final_logprob[state]
 
 
 def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:

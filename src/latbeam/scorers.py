@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ScorerFormatError
+from .errors import ConfigError, ScorerFormatError
 from .semiring import STOCHASTIC_TOL
 
 UNK_ID = -1
@@ -154,14 +154,16 @@ def train_ngram(corpus, order: int, smoothing: str = "add-k",
     (its unigram base is add-k smoothed, keeping every event off zero).
     """
     if order < 1:
-        raise ValueError("order must be at least 1")
+        raise ConfigError("order must be at least 1")
     if smoothing not in ("add-k", "stupid-backoff"):
-        raise ValueError(f"unknown smoothing {smoothing!r}")
-    if k <= 0:
-        raise ValueError("k must be positive")
+        raise ConfigError(f"unknown smoothing {smoothing!r}")
+    if not 0 < k < math.inf:
+        raise ConfigError("k must be positive and finite")
+    if not 0 < alpha < math.inf:
+        raise ConfigError("alpha must be positive and finite")
     sentences = [list(s) for s in corpus]
     if not sentences or all(not s for s in sentences):
-        raise ValueError("empty training corpus")
+        raise ConfigError("empty training corpus")
 
     raw_counts: dict[int, int] = {}
     for sent in sentences:

@@ -74,8 +74,8 @@ def lattice_prefixes(lattice, cap: int = 10 ** 5) -> set[tuple[int, ...]]:
         prefixes.add(prefix)
         if len(prefixes) > cap:
             raise ValueError("prefix cap exceeded")
-        for succ in lattice.successors(state).arcs:
-            stack.append((succ.next_state, prefix + (succ.token,)))
+        for label, _, dst in lattice.successors(state):
+            stack.append((dst, prefix + (label,)))
     return prefixes
 
 

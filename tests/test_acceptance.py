@@ -316,12 +316,12 @@ def test_08_local_softmax(demo):
         queue = [lat.start]
         while queue:
             state = queue.pop()
-            for succ in lat.successors(state).arcs:
-                if succ.next_state not in seen:
-                    seen[succ.next_state] = seen[state] + (succ.token,)
-                    queue.append(succ.next_state)
+            for label, _, dst in lat.successors(state):
+                if dst not in seen:
+                    seen[dst] = seen[state] + (label,)
+                    queue.append(dst)
         for state, prefix in seen.items():
-            tokens = [s.token for s in lat.successors(state).arcs]
+            tokens = [arc.label for arc in lat.successors(state)]
             if not tokens:
                 continue
             lm_state = scorer.start()

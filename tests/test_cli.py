@@ -34,12 +34,12 @@ def ws(tmp_path_factory):
     return root
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     """Run the command line in a fresh interpreter, as a user would."""
     src = str(Path(latbeam.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "latbeam.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def decode_args(ws, *extra):
@@ -323,9 +323,13 @@ class TestFailureModes:
         nbest = tmp_path / "bad.nbest"
         symbols = parse_symbols((ws / "symtab.txt").read_text())
         a, b = (symbols.sym_of(i) for i in symbols.ids()[:2])
-        for body, reason in (
-                (f"000 ||| {a} ||| -0.5\n000 ||| {a} ||| -0.7\n", "duplicate"),
-                (f"000 ||| {a} ||| -0.9\n000 ||| {b} ||| -0.2\n", "non-increasing")):
+        for body, reason, where in (
+                (f"000 ||| {a} ||| -0.5\n000 ||| {a} ||| -0.7\n", "duplicate", "list 000"),
+                (f"000 ||| {a} ||| -0.9\n000 ||| {b} ||| -0.2\n", "non-increasing",
+                 "list 000"),
+                (f"000 ||| {a} ||| -0.5\n000 ||| {b} ||| nan\n", "bad logprob", "line 2"),
+                (f"000 ||| {a} ||| inf\n", "bad logprob", "line 1"),
+                (f"000 ||| {a} ||| -0.5\n000 ||| {b} ||| -inf\n", "bad logprob", "line 2")):
             nbest.write_text(body)
             proc = run_cli("rescore", nbest, "--symtab", ws / "symtab.txt")
             assert proc.returncode == 1
@@ -333,7 +337,7 @@ class TestFailureModes:
             assert proc.stderr.startswith("latbeam: ")
             assert len(proc.stderr.splitlines()) == 1
             assert reason in proc.stderr
-            assert "list 000" in proc.stderr and str(nbest) in proc.stderr
+            assert where in proc.stderr and str(nbest) in proc.stderr
 
     def test_tune_reference_count_mismatch_is_one_line_error(self, ws, tmp_path):
         refs = tmp_path / "refs.txt"
@@ -365,16 +369,45 @@ class TestFailureModes:
         ("decode", ["--lambda-lat", "-1"]),
         ("tune", ["--beam", "0"]),
         ("tune", ["--grid=-1:0:1"]),
+        ("tune", ["--grid", "a"]),
+        ("tune", ["--grid", "0:x:1"]),
+        # a non-finite grid must not loop forever, hence the timeout
+        ("tune", ["--grid", "0:inf:1"]),
+        ("tune", ["--grid", "0:nan:1"]),
+        ("tune", ["--grid", "0:1:nan"]),
+        ("tune", ["--grid", "inf"]),
     ])
     def test_invalid_decoder_setting_is_one_line_error(self, ws, command, flags):
         args = [command, ws / "pushed"]
         if command == "tune":
             args.append(ws / "refs.txt")
-        proc = run_cli(*args, "--symtab", ws / "symtab.txt", *flags)
+        proc = run_cli(*args, "--symtab", ws / "symtab.txt", *flags, timeout=60)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("latbeam: ")
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--order", "0"], id="order-0"),
+        pytest.param(["--k", "0"], id="k-0"),
+        pytest.param(["--k", "nan"], id="k-nan"),
+        pytest.param(["--smoothing", "stupid-backoff", "--alpha", "0"], id="alpha-0"),
+        pytest.param(["--smoothing", "stupid-backoff", "--alpha", "-1"], id="alpha-negative"),
+        pytest.param(None, id="empty-corpus"),
+    ])
+    def test_train_invalid_setting_is_one_line_error(self, ws, tmp_path, flags):
+        corpus = ws / "train.txt"
+        if flags is None:
+            corpus = tmp_path / "empty.txt"
+            corpus.write_text("")
+            flags = []
+        out = tmp_path / "model.txt"
+        proc = run_cli("train", corpus, "--out", out, "--symtab", ws / "symtab.txt", *flags)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("latbeam: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("lambdas", [("-1", "0"), ("0", "0")])
     def test_rescore_invalid_lambdas_is_one_line_error(self, ws, tmp_path, capsys,

@@ -78,7 +78,9 @@ class LogprobCountingScorer(CountingScorer):
 def reference_decode(lattice, scorer, cfg):
     """Plain beam search: every candidate copies its prefix and consumes
     eagerly; candidates sort on (-score, len(prefix), prefix). The joint
-    score is spelled out here, not borrowed from the decoder.
+    score is spelled out here, not borrowed from the decoder, and arcs
+    and stop masses are read from the automaton itself, not from the
+    lattice's index.
 
     Returns (best, beam) as (prefix, score, finished) triples.
     """
@@ -96,17 +98,17 @@ def reference_decode(lattice, scorer, cfg):
                 candidates.append(hyp)
                 continue
             pred = scorer.predict(sstate)
-            arcs, final_logprob = lattice.successors(state)
-            for succ in arcs:
-                step = cfg.lambda_lat * succ.cond_logprob if cfg.lambda_lat else 0.0
+            arcs = sorted(lattice.inner.arcs[state])
+            final_logprob = -lattice.inner.finals.get(state, math.inf)
+            for label, weight, dst in arcs:
+                step = cfg.lambda_lat * -weight if cfg.lambda_lat else 0.0
                 if cfg.lambda_scorer:
-                    lp = pred.logprob(succ.token)
+                    lp = pred.logprob(label)
                     if cfg.local_softmax:
-                        lp -= local_log_norm(pred, [s.token for s in arcs])
+                        lp -= local_log_norm(pred, [a.label for a in arcs])
                     step += cfg.lambda_scorer * lp
-                candidates.append((prefix + (succ.token,), score + step,
-                                   False, succ.next_state,
-                                   scorer.consume(sstate, succ.token)))
+                candidates.append((prefix + (label,), score + step,
+                                   False, dst, scorer.consume(sstate, label)))
             if final_logprob != -math.inf:
                 end = cfg.lambda_lat * final_logprob if cfg.lambda_lat else 0.0
                 if cfg.lambda_scorer:
@@ -155,25 +157,25 @@ class TestJointStep:
     def setup_method(self):
         self.lat = prepare(l1())
         state = self.lat.walk((A,))
-        self.succ_b = self.lat.arc_for(state, B)
+        self.cond_b = -self.lat.arc_for(state, B).weight
         self.pred = Prediction({A: math.log(0.2), B: math.log(0.3),
                                 C: math.log(0.1)},
                                math.log(0.15), math.log(0.25))
 
     def test_lattice_only(self):
-        cond = self.succ_b.cond_logprob
+        cond = self.cond_b
         assert _joint(1.0, cond, 0.0, self.pred.logprob(B)) == cond
         # a zero lambda drops its term: 0 * -inf never becomes NaN
         assert _joint(1.0, cond, 0.0, -math.inf) == cond
         assert _joint(0.0, -math.inf, 1.0, cond) == cond
 
     def test_scorer_only_in_vocab(self):
-        got = _joint(0.0, self.succ_b.cond_logprob, 1.0, self.pred.logprob(B))
+        got = _joint(0.0, self.cond_b, 1.0, self.pred.logprob(B))
         assert got == pytest.approx(math.log(0.3), abs=1e-12)
 
     def test_weighted_sum(self):
-        want = 0.5 * self.succ_b.cond_logprob + 2.0 * math.log(0.3)
-        got = _joint(0.5, self.succ_b.cond_logprob, 2.0, math.log(0.3))
+        want = 0.5 * self.cond_b + 2.0 * math.log(0.3)
+        got = _joint(0.5, self.cond_b, 2.0, math.log(0.3))
         assert got == pytest.approx(want, abs=1e-12)
 
     def _finished_scores(self, lat, cfg):
@@ -207,7 +209,7 @@ class TestJointStep:
         norm = local_log_norm(self.pred, tokens)
         # A is the only token out of the start state, so it costs nothing
         eos = math.log(1.0 / 5.0)
-        want = self.succ_b.cond_logprob + (math.log(0.3) - norm) + eos
+        want = self.cond_b + (math.log(0.3) - norm) + eos
         got = self._finished_scores(self.lat, cfg)[(A, B)]
         assert got == pytest.approx(want, abs=1e-12)
         mass = sum(math.exp(self.pred.logprob(t) - norm) for t in tokens)

@@ -296,8 +296,9 @@ class TestDeterminize:
 
     def test_empty_input_gives_empty_automaton(self):
         for tag in (semiring.TROPICAL, semiring.LOG):
-            out = determinize(Wfsa(tag))
-            assert (out.num_states, out.finals, out.semiring) == (0, {}, tag)
+            for op in (rm_epsilon, determinize):
+                out = op(Wfsa(tag))
+                assert (out.num_states, out.finals, out.semiring) == (0, {}, tag)
 
 
 class TestMinimize:

@@ -44,9 +44,8 @@ P_B = math.exp(-0.7) / (math.exp(-0.7) + math.exp(-1.6))
 class TestPrepare:
     def test_l1_conditionals(self, pl1):
         state = pl1.walk((A,))
-        succ = pl1.successors(state)
-        assert succ.final_logprob == -math.inf
-        by_token = {s.token: s.cond_logprob for s in succ.arcs}
+        assert pl1.final_logprob(state) == -math.inf
+        by_token = {label: -weight for label, weight, _ in pl1.successors(state)}
         assert set(by_token) == {B, C}
         assert by_token[B] == pytest.approx(math.log(P_B), abs=1e-12)
         assert by_token[C] == pytest.approx(math.log(1.0 - P_B), abs=1e-12)
@@ -62,8 +61,8 @@ class TestPrepare:
         w.set_final(2)
         lat = prepare(w)
         for state in range(lat.num_states):
-            for succ in lat.successors(state).arcs:
-                assert succ.cond_logprob == pytest.approx(0.0, abs=1e-12)
+            for arc in lat.successors(state):
+                assert -arc.weight == pytest.approx(0.0, abs=1e-12)
 
     def test_duplicate_paths_pool_mass(self):
         # two distinct paths spelling the same string: the prepared
@@ -317,7 +316,9 @@ class TestQueries:
 
     def test_arc_for_token_lookup(self, pl1):
         state = pl1.walk((A,))
-        assert pl1.arc_for(state, B).token == B
+        arc = pl1.arc_for(state, B)
+        assert arc.label == B
+        assert any(arc is own for own in pl1.inner.arcs[state])
         assert pl1.arc_for(state, Z) is None
 
     def test_successors_sorted_by_token(self):
@@ -325,14 +326,41 @@ class TestQueries:
         for _ in range(10):
             lat = prepare(random_acyclic_wfsa(rng, max_states=20))
             for state in range(lat.num_states):
-                tokens = [s.token for s in lat.successors(state).arcs]
-                assert tokens == sorted(tokens)
+                labels = [arc.label for arc in lat.successors(state)]
+                assert labels == sorted(labels)
 
     def test_final_state_all_mass_on_stopping(self, pl1):
         state = pl1.walk((A, B))
-        succ = pl1.successors(state)
-        assert succ.arcs == ()
-        assert succ.final_logprob == pytest.approx(0.0, abs=1e-12)
+        assert pl1.successors(state) == ()
+        assert pl1.final_logprob(state) == pytest.approx(0.0, abs=1e-12)
+
+    def test_successors_are_the_automatons_own_arcs(self):
+        rng = random.Random(89)
+        lats = [prepare(random_acyclic_wfsa(rng, max_states=20)) for _ in range(10)]
+        lats += [prepare(w) for w in build_demo(seed=13, n_sentences=50).lattices]
+        for lat in lats:
+            for state in range(lat.num_states):
+                row = lat.successors(state)
+                own = {id(arc) for arc in lat.inner.arcs[state]}
+                assert len(row) == len(own)
+                assert all(id(arc) in own for arc in row)
+                assert all(a.label < b.label for a, b in zip(row, row[1:]))
+
+    def test_construction_leaves_inner_arcs_unsorted(self):
+        w = Wfsa(semiring.LOG)
+        w.add_arc(0, C, -math.log(0.5), 1)
+        w.add_arc(0, A, -math.log(0.3), 1)
+        w.add_arc(0, B, -math.log(0.2), 1)
+        w.set_final(1)
+        row = w.arcs[0]
+        before = list(row)
+        lat = PosteriorLattice(w)
+        assert w.arcs[0] is row
+        assert [arc.label for arc in row] == [C, A, B]
+        assert all(x is y for x, y in zip(row, before))
+        got = lat.successors(0)
+        assert [arc.label for arc in got] == [A, B, C]
+        assert all(x is y for x, y in zip(got, sorted(before)))
 
     def test_depth_is_longest_path(self, pl1):
         assert pl1.depth == 2
@@ -345,10 +373,9 @@ class TestDistributionInvariants:
             lat = prepare(random_acyclic_wfsa(rng, max_states=25,
                                               eps_fraction=0.15))
             for state in range(lat.num_states):
-                succ = lat.successors(state)
-                mass = sum(math.exp(s.cond_logprob) for s in succ.arcs)
-                if succ.final_logprob != -math.inf:
-                    mass += math.exp(succ.final_logprob)
+                mass = sum(math.exp(-arc.weight) for arc in lat.successors(state))
+                if lat.final_logprob(state) != -math.inf:
+                    mass += math.exp(lat.final_logprob(state))
                 assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_conditional_probabilities_in_unit_interval(self):
@@ -356,8 +383,8 @@ class TestDistributionInvariants:
         for _ in range(10):
             lat = prepare(random_acyclic_wfsa(rng, max_states=20))
             for state in range(lat.num_states):
-                for succ in lat.successors(state).arcs:
-                    p = math.exp(succ.cond_logprob)
+                for arc in lat.successors(state):
+                    p = math.exp(-arc.weight)
                     assert 0.0 < p <= 1.0 + 1e-12
 
     def test_product_identity_against_enumeration(self):

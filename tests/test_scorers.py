@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from latbeam.errors import ScorerFormatError
+from latbeam.errors import ConfigError, ScorerFormatError
 from latbeam.scorers import (
     BOS_ID,
     EOS_ID,
@@ -143,6 +143,9 @@ class TestTrainNgram:
             train_ngram([[A]], order=1, smoothing="kneser-ney")
         with pytest.raises(ValueError):
             train_ngram([[A]], order=1, k=0.0)
+        for alpha in (0.0, -0.4, math.nan):
+            with pytest.raises(ConfigError, match="alpha"):
+                train_ngram([[A, B]], order=2, smoothing="stupid-backoff", alpha=alpha)
 
 
 class TestNgramScorerState:
