@@ -4,8 +4,9 @@ Three ways to use the scorer without walking the lattice arc by arc:
 decode over the scorer's own vocabulary (no lattice at all), or rescore
 an n-best list of lattice hypotheses either one hypothesis at a time or
 with a depth-first sweep of their shared prefix trie. Rescoring cost is
-counted in scorer predict calls, one per scored token (eos included),
-the same unit as the decoder's node expansions.
+counted in scorer predict calls, one per scored token (eos included).
+The decoder's node expansions count live hypotheses expanded, which
+may share one predict call, so the two units differ.
 """
 
 from __future__ import annotations

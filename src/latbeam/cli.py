@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
@@ -135,6 +134,9 @@ def _outcomes(fn, files: list[Path], workers: int, context: dict):
     if workers == 1:
         yield from zip(files, map(partial(_attempt, fn, context=context), files))
         return
+    # imported here: loading the pool's modules takes tens of milliseconds,
+    # which a serial run would pay for nothing
+    from concurrent.futures import ProcessPoolExecutor
     # about four chunks per worker: few round trips, even load
     chunksize = max(1, len(files) // (4 * workers))
     with ProcessPoolExecutor(workers, initializer=_init_worker,
@@ -323,6 +325,7 @@ def _read_sentences(path) -> list[list[str]]:
 
 
 def cmd_tune(args) -> int:
+    grid = _parse_grid(args.grid)
     symbols = _load_symbols(args.symtab)
     scorer = _make_scorer(args, symbols)
     batch = _Batch(_read_posterior, args.latdir, symbols=symbols)
@@ -336,7 +339,6 @@ def cmd_tune(args) -> int:
     if len(references) != len(lattices):
         raise LatbeamError(f"{args.refs}: {len(references)} references "
                            f"for {len(lattices)} lattices")
-    grid = _parse_grid(args.grid)
     result = tune_grid(lattices, references, scorer, grid, beam=args.beam,
                        local_softmax=args.local_softmax)
     if args.json:
@@ -352,7 +354,15 @@ def cmd_tune(args) -> int:
     return 0
 
 
+GRID_CAP = 10_000   # the most points one --grid may hold
+
+
 def _parse_grid(spec: str) -> list[float]:
+    """One number, or start:stop:step: start + i * step rounded to 10
+    decimals, for every i that stays within a billionth of a step above
+    stop. The points are counted before any is built; an empty grid, one
+    of more than GRID_CAP points and one whose rounded values repeat are
+    errors."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise LatbeamError(f"bad grid {spec!r}, expected start:stop:step")
@@ -367,14 +377,16 @@ def _parse_grid(spec: str) -> list[float]:
     start, stop, step = numbers
     if step <= 0:
         raise LatbeamError("grid step must be positive")
-    values = []
-    i = 0
-    while True:
-        v = round(start + i * step, 10)
-        if v > stop + 1e-9:
-            break
-        values.append(v)
-        i += 1
+    # capped first: the quotient of finite numbers may still be inf
+    count = math.floor(min((stop - start) / step, GRID_CAP) + 1e-9) + 1
+    if count < 1:
+        raise LatbeamError(f"bad grid {spec!r}, stop is below start")
+    if count > GRID_CAP:
+        raise LatbeamError(f"bad grid {spec!r}, more than {GRID_CAP} points")
+    values = [round(start + i * step, 10) for i in range(count)]
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise LatbeamError(f"bad grid {spec!r}, step too small for "
+                           "values rounded to 10 decimals")
     return values
 
 

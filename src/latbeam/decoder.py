@@ -11,11 +11,14 @@ state each get the full unk mass. Finishing costs the lattice's stop
 mass plus the scorer's eos mass, weighted the same way. That weighted
 sum is written once, in _joint, which n-best rescoring shares too. The
 search is breadth-first and output-synchronous: every live hypothesis
-is expanded once per iteration (one node expansion = one scorer
-predict call), and finished hypotheses ride along in the same beam
-untouched. One loop serves this decoder and the unconstrained baseline;
-it calls the scorer's consume only for hypotheses that survive the
-beam and reads prefixes back through parent pointers.
+is expanded once per iteration (one node expansion), and finished
+hypotheses ride along in the same beam untouched. Within an iteration,
+hypotheses with equal lattice and scorer states share one scorer
+predict call and one expansion, and survivors with equal scorer states
+and tokens share one consume call; equal states have equal futures, so
+this changes no score. One loop serves this decoder and the
+unconstrained baseline; it calls consume only for hypotheses that
+survive the beam and reads prefixes back through parent pointers.
 """
 
 from __future__ import annotations
@@ -109,7 +112,8 @@ def _beam_search(start: int, scorer, width: int, max_steps: int,
     """The search loop of every decoding mode.
 
     expand(lattice_state, pred) returns [(token, step_score, next_state)]
-    and the score of finishing there, or None. A candidate is a plain tuple
+    and the score of finishing there, or None; it runs once per distinct
+    (lattice state, scorer state) in a step. A candidate is a plain tuple
     (-score, length, lex, parent, next_state) until it survives the beam.
     Tuples sort best first, then shorter, then by lex, which orders
     hypotheses of one length as their prefixes would: they come from one
@@ -122,10 +126,12 @@ def _beam_search(start: int, scorer, width: int, max_steps: int,
     expansions = 0
     for length in range(max_steps):
         candidates = done
+        expanded = {}  # (lattice state, scorer state) -> expand(...), this step
         for rank, (lex, hyp) in enumerate(live):
-            pred = scorer.predict(hyp.scorer_state)
-            expansions += 1
-            steps, end = expand(hyp.lattice_state, pred)
+            key = (hyp.lattice_state, hyp.scorer_state)
+            if key not in expanded:
+                expanded[key] = expand(hyp.lattice_state, scorer.predict(hyp.scorer_state))
+            steps, end = expanded[key]
             for token, step, state in steps:
                 candidates.append((-(hyp.score + step), length + 1, (rank, token), hyp, state))
             if end is not None:  # finishing keeps hyp's prefix: same parent and token
@@ -134,15 +140,19 @@ def _beam_search(start: int, scorer, width: int, max_steps: int,
                 cand = (-fin.score, length, lex, fin, None)
                 candidates.append(cand)
                 best_done = cand if best_done is None else min(best_done, cand)
+        expansions += len(live)
         candidates.sort()
         beam, live, done = [], [], []
+        consumed = {}  # (scorer state, token) -> consume(...), this step
         for cand in candidates[:width]:
             neg, _, lex, hyp, state = cand
             if state is None:
                 done.append(cand)
             else:
-                hyp = Hypothesis(-neg, state, scorer.consume(hyp.scorer_state, lex[1]),
-                                 hyp, lex[1])
+                key = (hyp.scorer_state, lex[1])
+                if key not in consumed:
+                    consumed[key] = scorer.consume(*key)
+                hyp = Hypothesis(-neg, state, consumed[key], hyp, lex[1])
                 live.append((lex, hyp))
             beam.append(hyp)
         if beam[0].finished:

@@ -9,6 +9,9 @@ A scorer is any object with
 
 States must behave like values: consuming from one state never disturbs
 another hypothesis holding the same state, so beam branching is safe.
+States must also be hashable, and equal states must predict alike and
+consume a token to equal states: the decoder predicts once for all
+hypotheses of a step that hold equal states. Tuples do all of this.
 Tokens outside the scorer's vocabulary advance the state as the reserved
 unknown-word placeholder; the caller keeps the real token. The optional
 source argument to start() is accepted for scorers conditioned on an
@@ -252,6 +255,7 @@ def load_ngram_model(path, symbols) -> NgramScorer:
     STOCHASTIC_TOL, otherwise the file is rejected naming the context.
     """
     rows: dict[tuple[int, ...], dict[int, float]] = {}
+    ids: dict[str, int] = {}  # each symbol resolved once, on first sight
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -268,8 +272,11 @@ def load_ngram_model(path, symbols) -> NgramScorer:
                 raise ScorerFormatError(
                     f"{path}: line {lineno}: bad number") from None
             *ctx_syms, event_sym = fields[:-2]
-            ctx = tuple(_sym_to_id(s, symbols) for s in ctx_syms)
-            rows.setdefault(ctx, {})[_sym_to_id(event_sym, symbols)] = lp
+            for sym in fields[:-2]:
+                if sym not in ids:
+                    ids[sym] = _sym_to_id(sym, symbols)
+            ctx = tuple(ids[s] for s in ctx_syms)
+            rows.setdefault(ctx, {})[ids[event_sym]] = lp
     if () not in rows:
         raise ScorerFormatError(f"{path}: missing empty-context rows")
     table = {}

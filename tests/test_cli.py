@@ -1,5 +1,6 @@
 """Command line round trips on a small generated workspace."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -387,6 +388,29 @@ class TestFailureModes:
         assert proc.stderr.startswith("latbeam: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("grid, reason", [
+        ("0:1e12:1", "more than 10000 points"),
+        ("0:1e-9:1e-11", "step too small for values rounded to 10 decimals"),
+        ("1:0:1", "stop is below start"),
+    ])
+    def test_unusable_grid_fails_before_any_decode(self, ws, grid, reason):
+        # the grid is counted before it is built, so even a huge one
+        # fails at once
+        proc = run_cli("tune", ws / "pushed", ws / "refs.txt",
+                       "--symtab", ws / "symtab.txt", "--grid", grid, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"latbeam: bad grid {grid!r}, {reason}\n"
+
+    def test_grid_ends_at_stop(self, ws):
+        proc = run_cli("tune", ws / "pushed", ws / "refs.txt",
+                       "--symtab", ws / "symtab.txt", "--grid", "0:1e-9:1e-10",
+                       "--json", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lams = [lam for lam, _ in json.loads(proc.stdout)["history"]]
+        assert len(lams) == 11
+        assert lams[0] == 0.0 and lams[-1] == 1e-9
+
     @pytest.mark.parametrize("flags", [
         pytest.param(["--order", "0"], id="order-0"),
         pytest.param(["--k", "0"], id="k-0"),
@@ -518,7 +542,7 @@ class TestPerFileContract:
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_worker_context", {})
         POOLS.clear()
         yield POOLS
@@ -600,6 +624,17 @@ class TestPerFileContract:
         assert main(["push", str(ws / "lattices"), str(tmp_path / "pushed"),
                      "--symtab", str(ws / "symtab.txt")]) == 0
         assert recorded == []
+
+    def test_importing_the_cli_loads_no_pool_modules(self):
+        # only a run with more than one worker imports the process pool
+        probe = ("import sys, latbeam.cli; print([m for m in ('multiprocessing', "
+                 "'concurrent.futures.process') if m in sys.modules])")
+        src = str(Path(latbeam.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("command", ["push", "decode", "nbest"])
     @pytest.mark.parametrize("workers", ["0", "-2"])

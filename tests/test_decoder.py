@@ -2,9 +2,11 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from latbeam.baselines import decode_unconstrained
 from latbeam.decoder import (
     DecodeResult,
     DecoderConfig,
@@ -16,7 +18,12 @@ from latbeam.errors import SearchError
 from latbeam.ops import enumerate_paths
 from latbeam.posterior import REJECT, prepare
 from latbeam.scorers import UNK_ID, Prediction, TableScorer, UniformScorer, train_ngram
-from latbeam.synth import lattice_prefixes, random_acyclic_wfsa, random_table_scorer
+from latbeam.synth import (
+    lattice_prefixes,
+    random_acyclic_wfsa,
+    random_table_scorer,
+    sausage_lattice,
+)
 from latbeam.wfsa import Wfsa
 
 A, B, C, X = 1, 2, 3, 7
@@ -75,25 +82,30 @@ class LogprobCountingScorer(CountingScorer):
         return CountingPrediction(super().predict(state), self.logprob_calls)
 
 
-def reference_decode(lattice, scorer, cfg):
+def reference_decode(lattice, scorer, cfg, trace=None):
     """Plain beam search: every candidate copies its prefix and consumes
     eagerly; candidates sort on (-score, len(prefix), prefix). The joint
     score is spelled out here, not borrowed from the decoder, and arcs
     and stop masses are read from the automaton itself, not from the
     lattice's index.
 
-    Returns (best, beam) as (prefix, score, finished) triples.
+    Returns (best, beam) as (prefix, score, finished) triples. A trace
+    list receives one (expanded, consumed) pair per step: the (lattice
+    state, scorer state) of every live hypothesis, and the (scorer state,
+    token) of every live hypothesis that survives the step's pruning.
     """
     key = lambda h: (-h[1], len(h[0]), h[0])
     max_steps = cfg.max_steps or max(1, 3 * lattice.depth)
-    beam = [((), 0.0, False, lattice.start, scorer.start())]
+    # (prefix, score, finished, state, scorer state, parent's scorer state)
+    beam = [((), 0.0, False, lattice.start, scorer.start(), None)]
     best_finished = None
     for _ in range(max_steps):
         if beam[0][2]:
             break
         candidates = []
+        expanded = [(h[3], h[4]) for h in beam if not h[2]]
         for hyp in beam:
-            prefix, score, finished, state, sstate = hyp
+            prefix, score, finished, state, sstate, _ = hyp
             if finished:
                 candidates.append(hyp)
                 continue
@@ -107,20 +119,44 @@ def reference_decode(lattice, scorer, cfg):
                     if cfg.local_softmax:
                         lp -= local_log_norm(pred, [a.label for a in arcs])
                     step += cfg.lambda_scorer * lp
-                candidates.append((prefix + (label,), score + step,
-                                   False, dst, scorer.consume(sstate, label)))
+                candidates.append((prefix + (label,), score + step, False,
+                                   dst, scorer.consume(sstate, label), sstate))
             if final_logprob != -math.inf:
                 end = cfg.lambda_lat * final_logprob if cfg.lambda_lat else 0.0
                 if cfg.lambda_scorer:
                     end += cfg.lambda_scorer * pred.eos_logprob
-                done = (prefix, score + end, True, state, sstate)
+                done = (prefix, score + end, True, state, sstate, None)
                 candidates.append(done)
                 if best_finished is None or key(done) < key(best_finished):
                     best_finished = done
         candidates.sort(key=key)
         beam = candidates[:cfg.beam]
+        if trace is not None:
+            trace.append((expanded, [(h[5], h[0][-1]) for h in beam if not h[2]]))
     best = beam[0] if beam[0][2] else best_finished
     return best[:3], [h[:3] for h in beam]
+
+
+class FreshStateScorer(CountingScorer):
+    """consume returns a new tuple equal to inner's, never the same object."""
+
+    def consume(self, state, token):
+        return tuple(list(super().consume(state, token)))
+
+
+class FreshPredictionScorer(CountingScorer):
+    """predict returns a new Prediction equal to inner's on every call."""
+
+    def predict(self, state):
+        pred = super().predict(state)
+        return Prediction(dict(pred.in_vocab), pred.unk_logprob, pred.eos_logprob)
+
+
+def assert_same_search(got, want):
+    """A DecodeResult equals reference_decode's (best, beam)."""
+    want_best, want_beam = want
+    assert (got.best.prefix, got.best.score, got.best.finished) == want_best
+    assert [(h.prefix, h.score, h.finished) for h in got.beam] == want_beam
 
 
 def table_over(rows, vocab):
@@ -380,20 +416,58 @@ class TestDecode:
                 cfg = DecoderConfig(beam=8, lambda_lat=c, lambda_scorer=c)
                 assert decode(lat, scorer, cfg).best.prefix == base
 
-    def test_expansions_equal_predict_calls(self):
+    def test_each_step_predicts_and_consumes_each_distinct_pair_once(self):
         rng = random.Random(107)
         model = train_ngram([[1, 2], [3, 4]], order=2)
         for _ in range(15):
             lat = prepare(random_acyclic_wfsa(rng, max_states=18))
             for flag in (False, True):
                 for beam in (1, 3, 12):
-                    scorer = CountingScorer(model)
                     cfg = DecoderConfig(beam=beam, local_softmax=flag)
+                    plain, trace = CountingScorer(model), []
+                    reference_decode(lat, plain, cfg, trace)
+                    scorer = CountingScorer(model)
                     result = decode(lat, scorer, cfg)
-                    assert result.node_expansions == scorer.predict_calls
-                    # every consumed hypothesis is expanded next, except
-                    # the live ones left in the final beam
-                    assert scorer.consume_calls <= scorer.predict_calls - 1 + beam
+                    # an expansion is still one live hypothesis expanded
+                    assert result.node_expansions == plain.predict_calls
+                    assert scorer.predict_calls == sum(
+                        len(set(expanded)) for expanded, _ in trace)
+                    assert scorer.consume_calls == sum(
+                        len(set(consumed)) for _, consumed in trace)
+
+    @pytest.mark.parametrize("wrapper", ["fresh-states", "fresh-predictions"])
+    def test_equal_values_need_not_be_identical(self, wrapper):
+        # the search may only rely on equality: a scorer that hands out
+        # new but equal states, or a new Prediction on every call, must
+        # decode exactly as the reference search does
+        rng = random.Random(149)
+        model = train_ngram([[rng.randint(1, 4) for _ in range(6)]
+                             for _ in range(20)], order=3)
+        scorer = {"fresh-states": FreshStateScorer,
+                  "fresh-predictions": FreshPredictionScorer}[wrapper](model)
+        expansions = 0
+        # in a sausage every path meets every other at each position, so
+        # hypotheses share lattice states and, often, n-gram states
+        for seed in range(4):
+            lat = prepare(sausage_lattice(7, seed=seed, n_labels=4, branches=3))
+            for beam in (1, 3, 12, 64):
+                for flag in (False, True):
+                    cfg = DecoderConfig(beam=beam, local_softmax=flag)
+                    got = decode(lat, scorer, cfg)
+                    assert_same_search(got, reference_decode(lat, model, cfg))
+                    expansions += got.node_expansions
+        # equal states were shared although they were not the same objects
+        assert scorer.predict_calls < expansions
+        # the unconstrained baseline runs the same loop: against the
+        # reference over a one-state lattice that loops on every token
+        flower = Wfsa()
+        for token in sorted(model.vocab):
+            flower.add_arc(0, token, 0.0, 0)
+        flower.set_final(0)
+        cfg = DecoderConfig(beam=12, max_steps=8)
+        assert_same_search(
+            decode_unconstrained(scorer, cfg),
+            reference_decode(SimpleNamespace(inner=flower, start=0), model, cfg))
 
     def test_ties_match_reference_search_at_narrow_beams(self):
         # equal arc weights over three labels and a uniform scorer make
@@ -410,12 +484,8 @@ class TestDecode:
                         cfg = DecoderConfig(beam=beam, lambda_lat=lam_lat,
                                             lambda_scorer=lam_scorer,
                                             local_softmax=flag)
-                        want_best, want_beam = reference_decode(lat, scorer, cfg)
-                        got = decode(lat, scorer, cfg)
-                        assert (got.best.prefix, got.best.score,
-                                got.best.finished) == want_best
-                        assert [(h.prefix, h.score, h.finished)
-                                for h in got.beam] == want_beam
+                        assert_same_search(decode(lat, scorer, cfg),
+                                           reference_decode(lat, scorer, cfg))
 
     def test_long_prefix_is_rebuilt_from_back_pointers(self):
         w = Wfsa()

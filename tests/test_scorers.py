@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from latbeam.errors import ConfigError, ScorerFormatError
+from latbeam.errors import ConfigError, ScorerFormatError, UnknownSymbolError
 from latbeam.scorers import (
     BOS_ID,
     EOS_ID,
@@ -222,6 +222,34 @@ class TestNgramModelFile:
             "a -0.5 0\n<unk> -0.5 0\n</s> -0.5 0\n", encoding="utf-8")
         with pytest.raises(ScorerFormatError, match="sums to"):
             load_ngram_model(path, symbols)
+
+    def test_open_table_numbers_new_symbols_in_first_seen_order(self, tmp_path):
+        symbols = make_symbols()
+        path = tmp_path / "m.ngram"
+        quarter, third = repr(math.log(1 / 4)), repr(math.log(1 / 3))
+        path.write_text(
+            f"r {quarter} 0\np {quarter} 0\n<unk> {quarter} 0\n</s> {quarter} 0\n"
+            f"p q {third} 0\np <unk> {third} 0\np </s> {third} 0\n"
+            f"a r {third} 0\na <unk> {third} 0\na </s> {third} 0\n",
+            encoding="utf-8")
+        model = load_ngram_model(path, symbols)
+        r, p, q = 4, 5, 6
+        assert [symbols.id_of(s) for s in "abcrpq"] == [A, B, C, r, p, q]
+        assert len(symbols) == 7
+        assert model.order == 2
+        assert model.vocab == {r, p}
+        assert set(model.table) == {(), (p,), (A,)}
+        assert model.table[(p,)].in_vocab == {q: math.log(1 / 3)}
+        assert model.table[(A,)].in_vocab == {r: math.log(1 / 3)}
+
+    def test_closed_table_rejects_unknown_symbol(self, tmp_path):
+        symbols = make_symbols()
+        symbols.closed = True
+        path = tmp_path / "m.ngram"
+        path.write_text("a -1.0 0\nzz -1.0 0\n", encoding="utf-8")
+        with pytest.raises(UnknownSymbolError) as exc:
+            load_ngram_model(path, symbols)
+        assert str(exc.value) == "unknown symbol 'zz'"
 
     def test_load_rejects_missing_empty_context(self, tmp_path):
         symbols = make_symbols()
