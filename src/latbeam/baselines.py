@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .decoder import DecoderConfig, DecodeResult, _beam_search, _joint, check_lambdas
-from .ops import n_shortest_strings
+from .ops import _n_shortest
 from .posterior import PosteriorLattice
 from .scorers import EOS_ID
 
@@ -45,8 +45,13 @@ class NBestList:
 
 def nbest_from_posterior(lattice: PosteriorLattice, n: int,
                          source_id: str = "") -> NBestList:
-    """Best n strings of a posterior lattice with normalized log-probs."""
-    strings = n_shortest_strings(lattice.inner, n)
+    """Best n strings of a posterior lattice with normalized log-probs.
+
+    The lattice was verified deterministic and acyclic when it was
+    built, so this runs n_shortest_strings' search on its topological
+    order without checking again.
+    """
+    strings = _n_shortest(lattice.inner, lattice.order, n)
     return NBestList([(tokens, -cost) for tokens, cost in strings], source_id)
 
 
@@ -89,11 +94,11 @@ def _entry_key(entry: RescoredEntry):
     return (-entry.joint_score, len(entry.tokens), entry.tokens)
 
 
-def _combine(nbest: NBestList, scorer_logprobs, lambda_lat,
+def _combine(nbest: NBestList, scorer_logprobs: list[float], lambda_lat,
              lambda_scorer) -> list[RescoredEntry]:
+    """Rank the entries; scorer_logprobs[i] is entry i's scorer term."""
     entries = []
-    for tokens, lat in nbest.entries:
-        scorer_lp = scorer_logprobs[tokens]
+    for (tokens, lat), scorer_lp in zip(nbest.entries, scorer_logprobs):
         joint = _joint(lambda_lat, lat, lambda_scorer, scorer_lp)
         entries.append(RescoredEntry(tokens, joint, lat, scorer_lp))
     entries.sort(key=_entry_key)
@@ -110,7 +115,7 @@ def rescore_nbest_naive(nbest: NBestList, scorer, lambda_lat: float = 1.0,
     DecoderConfig's rules (check_lambdas).
     """
     check_lambdas(lambda_lat, lambda_scorer)
-    scorer_logprobs: dict[tuple[int, ...], float] = {}
+    scorer_logprobs = []
     calls = 0
     for tokens, _ in nbest.entries:
         state = scorer.start()
@@ -123,7 +128,7 @@ def rescore_nbest_naive(nbest: NBestList, scorer, lambda_lat: float = 1.0,
         pred = scorer.predict(state)
         calls += 1
         total += pred.eos_logprob
-        scorer_logprobs[tokens] = total
+        scorer_logprobs.append(total)
     return RescoreResult(_combine(nbest, scorer_logprobs, lambda_lat, lambda_scorer),
                          calls)
 
@@ -139,28 +144,31 @@ def rescore_nbest_dfs(nbest: NBestList, scorer, lambda_lat: float = 1.0,
     rescore_nbest_naive, term by term.
     """
     check_lambdas(lambda_lat, lambda_scorer)
+    # each entry ends in an eos leaf holding its index, so no node needs
+    # the prefix that leads to it
     trie: dict = {}
-    for tokens, _ in nbest.entries:
+    for i, (tokens, _) in enumerate(nbest.entries):
         node = trie
-        for token in tokens + (EOS_ID,):
+        for token in tokens:
             node = node.setdefault(token, {})
+        node[EOS_ID] = i
 
-    scorer_logprobs: dict[tuple[int, ...], float] = {}
+    scorer_logprobs = [0.0] * len(nbest.entries)
     calls = 0
     # depth first without recursion: children pushed in reverse pop in order
-    stack = [(t, trie, scorer.start(), (), 0.0) for t in sorted(trie, reverse=True)]
+    stack = [(t, trie, scorer.start(), 0.0) for t in sorted(trie, reverse=True)]
     while stack:
-        token, node, state, prefix, acc = stack.pop()
+        token, node, state, acc = stack.pop()
         # one predict per scored token: this models the per-position
         # cost of a left-to-right scorer, the same unit naive pays
         pred = scorer.predict(state)
         calls += 1
         if token == EOS_ID:
-            scorer_logprobs[prefix] = acc + pred.eos_logprob
+            scorer_logprobs[node[EOS_ID]] = acc + pred.eos_logprob
             continue
         child, state = node[token], scorer.consume(state, token)
-        prefix, acc = prefix + (token,), acc + pred.logprob(token)
+        acc += pred.logprob(token)
         for t in sorted(child, reverse=True):
-            stack.append((t, child, state, prefix, acc))
+            stack.append((t, child, state, acc))
     return RescoreResult(_combine(nbest, scorer_logprobs, lambda_lat, lambda_scorer),
                          calls)

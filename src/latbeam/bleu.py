@@ -92,7 +92,8 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
     Only the ratio of the two weights matters to the decoder's argmax, so
     lambda_scorer stays fixed at 1 and the grid sweeps lambda_lat. Ties
     go to the smaller lambda_lat. Decoding failures are re-raised as
-    TuneError naming the offending sentence.
+    TuneError naming the offending sentence; an empty grid is a
+    TuneError too.
     """
     from .decoder import DecoderConfig, decode
 
@@ -100,9 +101,12 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
     references = list(references)
     if len(lattices) != len(references):
         raise ValueError("development lattices and references differ in length")
+    grid = sorted(grid)
+    if not grid:
+        raise TuneError("empty lambda_lat grid")
     best: TuneResult | None = None
     history: list[tuple[float, float]] = []
-    for lam in sorted(grid):
+    for lam in grid:
         cfg = DecoderConfig(beam=beam, lambda_lat=lam, lambda_scorer=1.0,
                             local_softmax=local_softmax)
         hyps = []
@@ -116,6 +120,5 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
         history.append((lam, report.score))
         if best is None or report.score > best.bleu.score:
             best = TuneResult(lam, 1.0, report)
-    assert best is not None
     best.history = history
     return best

@@ -214,7 +214,7 @@ def cmd_push(args) -> int:
 
 def _decode_file(path: Path, symbols: SymbolTable, scorer, cfg: DecoderConfig):
     result = decode(_read_posterior(path, symbols), scorer, cfg)
-    tokens = [symbols.sym_of(t) for t in result.best.prefix]
+    tokens = symbols.spell(result.best.prefix)
     return tokens, result.best.score, result.node_expansions
 
 
@@ -248,7 +248,7 @@ def _nbest_file(path: Path, symbols: SymbolTable, n: int) -> list[str]:
                                  source_id=path.stem)
     lines = []
     for tokens, logprob in nbest.entries:
-        text = " ".join(symbols.sym_of(t) for t in tokens)
+        text = " ".join(symbols.spell(tokens))
         lines.append(f"{nbest.source_id} ||| {text} ||| {logprob!r}")
     return lines
 
@@ -305,7 +305,7 @@ def cmd_rescore(args) -> int:
             best = result.ranked[0]
             total_calls += result.predict_calls
             n_lists += 1
-            tokens = [symbols.sym_of(t) for t in best.tokens]
+            tokens = symbols.spell(best.tokens)
             if args.json:
                 out.write(json.dumps(
                     {"id": nbest.source_id, "tokens": tokens,

@@ -72,4 +72,4 @@ class SearchError(LatbeamError):
 
 
 class TuneError(LatbeamError, RuntimeError):
-    """A development-set decode failed during tuning."""
+    """Tuning had no grid point, or a development-set decode failed."""

@@ -27,6 +27,8 @@ and for desk-scale analysis.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush, heappushpop
+from itertools import count
 
 from . import semiring
 from .errors import (
@@ -455,36 +457,90 @@ def n_shortest_strings(w: Wfsa, n: int) -> list[tuple[tuple[int, ...], float]]:
     best-first walk guided by exact suffix potentials; costs are treated
     additively whatever the semiring tag. Ties break toward the
     lexicographically smaller token sequence. Returns fewer than n pairs
-    when the language is smaller.
+    when the language is smaller. Heap entries hold back-pointers, so
+    memory grows with the length of the strings, not with its square.
     """
-    import heapq
-
     if not w.is_deterministic():
         raise NotDeterministicError("n_shortest_strings requires a deterministic lattice")
-    order = _require_acyclic(w, "n_shortest_strings")
+    return _n_shortest(w, _require_acyclic(w, "n_shortest_strings"), n)
+
+
+def _spell(node) -> tuple[int, ...]:
+    """The labels of a back-pointer node, root first."""
+    labels = []
+    while node:
+        node, label = node
+        labels.append(label)
+    labels.reverse()
+    return tuple(labels)
+
+
+def _n_shortest(w: Wfsa, order: list[int], n: int) -> list[tuple[tuple[int, ...], float]]:
+    """n_shortest_strings without its checks, for a deterministic w with
+    the topological order given.
+
+    The search of Mohri and Riley (2002) with back-pointers: a heap entry
+    is (bound, push counter, node, done, state, accumulated cost), where
+    node is (parent node, label) and () at the root, so an entry costs
+    the same whatever its depth and a string is spelled only when it is
+    output. Entries pop in (bound, tokens, done) order. The counter
+    keeps tuple comparison off the nodes; when the popped bound equals
+    the heap top's, the whole tie group is popped, the entry with the
+    smallest spelled (tokens, done) is taken and the rest go back. The
+    cheapest entry an expansion makes enters the heap through
+    heappushpop, which returns it at once when nothing queued is cheaper.
+    """
     if not w.num_states or n <= 0:
         return []
     potential = _potentials(w, order, semiring.trop_add)
     if potential[w.start] == INF:
         return []
 
+    arcs, finals = w.arcs, w.finals
     results: list[tuple[tuple[int, ...], float]] = []
-    # heap entries: (bound, tokens, done, state, accumulated cost)
-    heap: list[tuple] = [(potential[w.start], (), 0, w.start, 0.0)]
-    while heap and len(results) < n:
-        bound, tokens, done, state, acc = heapq.heappop(heap)
+    heap: list[tuple] = []
+    tick = count(1)
+    entry = (potential[w.start], 0, (), 0, w.start, 0.0)
+    while True:
+        bound = entry[0]
+        if heap and heap[0][0] == bound:
+            group = [entry]
+            while heap and heap[0][0] == bound:
+                group.append(heappop(heap))
+            group.sort(key=lambda e: (_spell(e[2]), e[3]))
+            entry = group.pop(0)
+            for other in group:
+                heappush(heap, other)
+        _, _, node, done, state, acc = entry
         if done:
-            results.append((tokens, acc))
+            results.append((_spell(node), acc))
+            if len(results) == n or not heap:
+                return results
+            entry = heappop(heap)
             continue
-        f = w.final_weight(state)
+        # the cheapest new entry is held back for heappushpop
+        best = None
+        f = finals.get(state, INF)
         if f != INF:
-            heapq.heappush(heap, (acc + f, tokens, 1, -1, acc + f))
-        for label, weight, dst in w.arcs[state]:
-            if potential[dst] == INF or weight == INF:
+            best = (acc + f, next(tick), node, 1, -1, acc + f)
+        for label, weight, dst in arcs[state]:
+            p = potential[dst]
+            if p == INF or weight == INF:
                 continue
             cost = acc + weight
-            heapq.heappush(heap, (cost + potential[dst], tokens + (label,), 0, dst, cost))
-    return results
+            child = (cost + p, next(tick), (node, label), 0, dst, cost)
+            if best is None or child[0] < best[0]:
+                if best is not None:
+                    heappush(heap, best)
+                best = child
+            else:
+                heappush(heap, child)
+        if best is not None:
+            entry = heappushpop(heap, best)
+        elif heap:
+            entry = heappop(heap)
+        else:
+            return results
 
 
 def equivalent_acyclic(a: Wfsa, b: Wfsa, tol: float = 1e-9,

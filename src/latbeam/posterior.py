@@ -52,7 +52,8 @@ class PosteriorLattice:
     automaton's own Arc objects, in cost form: an arc's weight is the
     negative conditional log-probability of its label. raw_total records
     the weight stripped off the initial state during pushing, i.e. the
-    negative log of the raw lattice's total mass.
+    negative log of the raw lattice's total mass. order is the
+    topological order of the states that verification computed.
     """
 
     def __init__(self, inner: Wfsa, raw_total: float = 0.0):
@@ -87,6 +88,7 @@ class PosteriorLattice:
                 f"outgoing mass differs from 1 by more than {semiring.STOCHASTIC_TOL}")
         self.inner = inner
         self.raw_total = raw_total
+        self.order = order
         self._final_logprob = final_logprob
         self._rows = rows
         self.depth = depth[inner.start]

@@ -256,12 +256,22 @@ def load_ngram_model(path, symbols) -> NgramScorer:
     """
     rows: dict[tuple[int, ...], dict[int, float]] = {}
     ids: dict[str, int] = {}  # each symbol resolved once, on first sight
+    by_text: dict[str, dict[int, float]] = {}   # context text -> its row
+
+    def resolve(sym: str) -> int:
+        ident = ids.get(sym)
+        if ident is None:
+            ident = ids[sym] = _sym_to_id(sym, symbols)
+        return ident
+
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = line.split()
+            # from the right: context text (absent for the empty
+            # context), event, logprob, backoff
+            fields = line.rsplit(None, 3)
             if len(fields) < 3:
                 raise ScorerFormatError(
                     f"{path}: line {lineno}: expected tokens, logprob, backoff")
@@ -271,12 +281,12 @@ def load_ngram_model(path, symbols) -> NgramScorer:
             except ValueError:
                 raise ScorerFormatError(
                     f"{path}: line {lineno}: bad number") from None
-            *ctx_syms, event_sym = fields[:-2]
-            for sym in fields[:-2]:
-                if sym not in ids:
-                    ids[sym] = _sym_to_id(sym, symbols)
-            ctx = tuple(ids[s] for s in ctx_syms)
-            rows.setdefault(ctx, {})[ids[event_sym]] = lp
+            ctx_text = fields[0] if len(fields) == 4 else ""
+            row = by_text.get(ctx_text)
+            if row is None:
+                ctx = tuple([resolve(sym) for sym in ctx_text.split()])
+                row = by_text[ctx_text] = rows.setdefault(ctx, {})
+            row[resolve(fields[-3])] = lp
     if () not in rows:
         raise ScorerFormatError(f"{path}: missing empty-context rows")
     table = {}

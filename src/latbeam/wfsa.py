@@ -68,6 +68,13 @@ class SymbolTable:
         except KeyError:
             raise UnknownSymbolError(f"unknown symbol id {ident}") from None
 
+    def spell(self, ids) -> list[str]:
+        """The symbols of a sequence of ids, one dict lookup each."""
+        try:
+            return list(map(self._by_id.__getitem__, ids))
+        except KeyError as exc:
+            raise UnknownSymbolError(f"unknown symbol id {exc.args[0]}") from None
+
     def ids(self):
         """All non-epsilon ids, ascending."""
         return sorted(i for i in self._by_id if i != EPS)

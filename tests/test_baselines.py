@@ -3,8 +3,11 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
+
+import oracles
 
 from latbeam.baselines import (
     NBestList,
@@ -24,7 +27,12 @@ from latbeam.scorers import (
     UniformScorer,
     train_ngram,
 )
-from latbeam.synth import lattice_prefixes, random_acyclic_wfsa, random_table_scorer
+from latbeam.synth import (
+    lattice_prefixes,
+    random_acyclic_wfsa,
+    random_table_scorer,
+    sausage_lattice,
+)
 from latbeam.wfsa import Wfsa
 
 A, B, C = 1, 2, 3
@@ -283,3 +291,30 @@ class TestRescoreDfs:
         dfs = rescore_nbest_dfs(nbest, scorer)
         assert naive.ranked == dfs.ranked
         assert dfs.predict_calls <= naive.predict_calls
+
+    def test_long_list_matches_naive_and_oracle(self):
+        lat = prepare(sausage_lattice(8000, seed=13))
+        nbest = nbest_from_posterior(lat, 10)
+        rng = random.Random(17)
+        corpus = [[rng.randint(1, 40) for _ in range(30)] for _ in range(200)]
+        scorer = train_ngram(corpus, order=2)
+        dfs = rescore_nbest_dfs(nbest, scorer)
+        assert dfs == oracles.rescore_nbest_dfs(nbest, scorer)
+        naive = rescore_nbest_naive(nbest, scorer)
+        assert dfs.ranked == naive.ranked
+        assert dfs.predict_calls < naive.predict_calls
+
+
+def test_nbest_memory_is_linear_in_lattice_length():
+    # heap entries hold back-pointers, not token tuples; tuples made
+    # the peak grow with the square of the length (about 370 MB here)
+    lat = prepare(sausage_lattice(4000, seed=13))
+    tracemalloc.start()
+    try:
+        nbest = nbest_from_posterior(lat, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nbest) == 10
+    assert all(len(tokens) == 4000 for tokens, _ in nbest.entries)
+    assert peak < 20 * 2 ** 20

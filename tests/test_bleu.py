@@ -6,7 +6,7 @@ import random
 import pytest
 
 from latbeam.bleu import corpus_bleu, tune_grid
-from latbeam.errors import LatbeamError
+from latbeam.errors import LatbeamError, TuneError
 from latbeam.posterior import prepare
 from latbeam.scorers import Prediction, TableScorer, UniformScorer
 from latbeam.wfsa import Wfsa
@@ -184,3 +184,8 @@ class TestTuneGrid:
         with pytest.raises(ValueError, match="differ"):
             tune_grid([lat, lat], [(A, B)], UniformScorer({A, B, C}),
                       grid=[1.0])
+
+    def test_empty_grid_is_a_tune_error(self):
+        lat = prepare(two_path_lattice())
+        with pytest.raises(TuneError, match="empty lambda_lat grid"):
+            tune_grid([lat], [(A, B)], UniformScorer({A, B, C}), grid=[])

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import oracles
+
 from latbeam import ops, semiring
 from latbeam.errors import (
     CyclicLatticeError,
@@ -30,6 +32,7 @@ from latbeam.ops import (
     push_log,
     rm_epsilon,
 )
+from latbeam.posterior import prepare
 from latbeam.semiring import INF
 from latbeam.synth import random_acyclic_wfsa
 from latbeam.wfsa import EPS, Arc, SymbolTable, Wfsa, serialize_wfsa, topological_order
@@ -494,6 +497,25 @@ class TestPathEnumeration:
         assert pooled[(B,)] == 1.0
 
 
+def tie_heavy_dfa(rng: random.Random) -> Wfsa:
+    """A deterministic acyclic acceptor of 2-12 states, labels 1-4 and
+    weights from {0, 0.5, 1}, so that many strings cost the same."""
+    n = rng.randint(2, 12)
+    w = Wfsa()
+    w.ensure_state(n - 1)
+    for q in range(n - 1):
+        for label in rng.sample(range(1, 5), rng.randint(1, 4)):
+            w.add_arc(q, label, rng.choice((0.0, 0.5, 1.0)), rng.randint(q + 1, n - 1))
+    for q in range(n):
+        if q == n - 1 or rng.random() < 0.4:
+            w.set_final(q, rng.choice((0.0, 0.5, 1.0)))
+    return w
+
+
+def count_ties(strings) -> int:
+    return sum(a[1] == b[1] for a, b in zip(strings, strings[1:]))
+
+
 class TestNShortestStrings:
     def test_l1_two_best(self):
         out = n_shortest_strings(determinize(l1()), 2)
@@ -540,6 +562,33 @@ class TestNShortestStrings:
                           key=lambda kv: (kv[1], kv[0]))[:10]
             got = n_shortest_strings(w, 10)
             assert [s for s, _ in got] == [s for s, _ in want]
+
+    def test_matches_oracle_on_tie_heavy_lattices(self):
+        rng = random.Random(61)
+        ties = 0
+        for _ in range(300):
+            w = tie_heavy_dfa(rng)
+            for n in (1, 3, 10, 50):
+                want = oracles.n_shortest_strings(w, n)
+                assert n_shortest_strings(w, n) == want
+                ties += count_ties(want)
+        assert ties > 1000
+
+    def test_search_on_posterior_order_matches_oracle(self):
+        # nbest_from_posterior runs the search on the order the
+        # PosteriorLattice computed; pushed uniform choices still tie
+        rng = random.Random(67)
+        ties = 0
+        for _ in range(200):
+            w = tie_heavy_dfa(rng)
+            for q in range(w.num_states):
+                w.arcs[q] = [Arc(label, 0.0, dst) for label, _, dst in w.arcs[q]]
+            lat = prepare(w)
+            for n in (1, 3, 10, 50):
+                want = oracles.n_shortest_strings(lat.inner, n)
+                assert ops._n_shortest(lat.inner, lat.order, n) == want
+                ties += count_ties(want)
+        assert ties > 1000
 
 
 class TestEquivalence:

@@ -251,6 +251,35 @@ class TestNgramModelFile:
             load_ngram_model(path, symbols)
         assert str(exc.value) == "unknown symbol 'zz'"
 
+    def test_comments_blank_lines_and_whitespace(self, tmp_path):
+        # a context's row is found by its text, so contexts spelled with
+        # other whitespace still share one row
+        symbols = make_symbols()
+        third = repr(math.log(1 / 3))
+        path = tmp_path / "m.ngram"
+        path.write_text(
+            f"# a comment\n\n   a {third} 0\n\t<unk> {third} 0\n</s> {third} 0\n"
+            f"   \n  # an indented comment\na b {third} 0\na  <unk> {third} 0\n"
+            f"a\t</s>  {third}\t0\n", encoding="utf-8")
+        model = load_ngram_model(path, symbols)
+        assert model.order == 2
+        assert set(model.table) == {(), (A,)}
+        assert model.table[()].in_vocab == {A: math.log(1 / 3)}
+        assert model.table[(A,)].in_vocab == {B: math.log(1 / 3)}
+        assert model.table[(A,)].eos_logprob == math.log(1 / 3)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("a -1.0", "expected tokens, logprob, backoff"),
+        ("a x 0", "bad number"),
+        ("a b -1.0 zero", "bad number"),
+    ])
+    def test_bad_line_names_its_number(self, tmp_path, bad, message):
+        symbols = make_symbols()
+        path = tmp_path / "bad.ngram"
+        path.write_text(f"# header\n\na -1.0 0\n  {bad}\n", encoding="utf-8")
+        with pytest.raises(ScorerFormatError, match=f"line 4: {message}$"):
+            load_ngram_model(path, symbols)
+
     def test_load_rejects_missing_empty_context(self, tmp_path):
         symbols = make_symbols()
         path = tmp_path / "bad.ngram"
