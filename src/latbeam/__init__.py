@@ -5,6 +5,7 @@ external left-to-right scorer."""
 __version__ = "0.1.0"
 
 from .errors import (
+    BleuError,
     ConfigError,
     CyclicLatticeError,
     EmptyLatticeError,

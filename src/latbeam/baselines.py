@@ -49,10 +49,18 @@ def nbest_from_posterior(lattice: PosteriorLattice, n: int,
 
     The lattice was verified deterministic and acyclic when it was
     built, so this runs n_shortest_strings' search on its topological
-    order without checking again.
+    order without checking again. The search pops entries by bounds
+    summed as (cost + arc) + potential, not in path order, so an exact
+    path cost can come out an ulp below the one before it; each
+    log-probability is clamped to at most its predecessor's.
     """
-    strings = _n_shortest(lattice.inner, lattice.order, n)
-    return NBestList([(tokens, -cost) for tokens, cost in strings], source_id)
+    entries = []
+    last = math.inf
+    for tokens, cost in _n_shortest(lattice.inner, lattice.order, n):
+        if -cost <= last:
+            last = -cost
+        entries.append((tokens, last))
+    return NBestList(entries, source_id)
 
 
 def decode_unconstrained(scorer, cfg: DecoderConfig | None = None) -> DecodeResult:

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import TuneError
+from .errors import BleuError, TuneError
 
 MAX_ORDER = 4
 
@@ -38,14 +38,15 @@ def corpus_bleu(hypotheses, references) -> BleuReport:
 
     Sequences may hold any hashable tokens (strings, ids). An order whose
     denominator is zero counts as zero precision, which zeroes the score;
-    identical corpora score exactly 1.0.
+    identical corpora score exactly 1.0. Unequal counts and an empty
+    corpus raise BleuError, which is also a ValueError.
     """
     hyps = [tuple(h) for h in hypotheses]
     refs = [tuple(r) for r in references]
     if len(hyps) != len(refs):
-        raise ValueError(f"{len(hyps)} hypotheses against {len(refs)} references")
+        raise BleuError(f"{len(hyps)} hypotheses against {len(refs)} references")
     if not hyps:
-        raise ValueError("empty corpus")
+        raise BleuError("empty corpus")
 
     matched = [0] * MAX_ORDER
     totals = [0] * MAX_ORDER

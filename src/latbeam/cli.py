@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import json
 import math
 import os
@@ -122,6 +123,7 @@ _worker_context: dict = {}     # filled once in each pool process by _init_worke
 
 
 def _init_worker(context: dict) -> None:
+    gc.disable()    # as in main, whatever the start method
     _worker_context.update(context)
 
 
@@ -568,12 +570,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # Arcs, lattices, hypotheses and n-best lists hold no reference
+    # cycles, so reference counting frees them; the cyclic collector
+    # would only rescan them. It is off for the command and restored to
+    # its previous state on the way out.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except LatbeamError as exc:
         print(f"latbeam: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

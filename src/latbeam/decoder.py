@@ -18,7 +18,8 @@ predict call and one expansion, and survivors with equal scorer states
 and tokens share one consume call; equal states have equal futures, so
 this changes no score. One loop serves this decoder and the
 unconstrained baseline; it calls consume only for hypotheses that
-survive the beam and reads prefixes back through parent pointers.
+survive the beam, when they are expanded, and reads prefixes back
+through parent pointers.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ class Hypothesis:
 
 @dataclass(slots=True)
 class DecodeResult:
+    """The best finished hypothesis, the final beam and the number of
+    live hypotheses expanded.
+
+    A hypothesis consumes its last token only when it is expanded, so an
+    unfinished entry of the final beam, never expanded, holds its
+    parent's scorer_state: the state before its last token.
+    """
+
     best: Hypothesis
     beam: list[Hypothesis]
     node_expansions: int
@@ -126,8 +135,14 @@ def _beam_search(start: int, scorer, width: int, max_steps: int,
     expansions = 0
     for length in range(max_steps):
         candidates = done
+        consumed = {}  # (scorer state, token) -> consume(...), this step
         expanded = {}  # (lattice state, scorer state) -> expand(...), this step
         for rank, (lex, hyp) in enumerate(live):
+            if hyp.parent is not None:  # its token is consumed now, not at survival
+                pair = (hyp.scorer_state, hyp.token)
+                if pair not in consumed:
+                    consumed[pair] = scorer.consume(*pair)
+                hyp.scorer_state = consumed[pair]
             key = (hyp.lattice_state, hyp.scorer_state)
             if key not in expanded:
                 expanded[key] = expand(hyp.lattice_state, scorer.predict(hyp.scorer_state))
@@ -143,16 +158,13 @@ def _beam_search(start: int, scorer, width: int, max_steps: int,
         expansions += len(live)
         candidates.sort()
         beam, live, done = [], [], []
-        consumed = {}  # (scorer state, token) -> consume(...), this step
         for cand in candidates[:width]:
             neg, _, lex, hyp, state = cand
             if state is None:
                 done.append(cand)
             else:
-                key = (hyp.scorer_state, lex[1])
-                if key not in consumed:
-                    consumed[key] = scorer.consume(*key)
-                hyp = Hypothesis(-neg, state, consumed[key], hyp, lex[1])
+                # the parent's scorer state, until this one is expanded
+                hyp = Hypothesis(-neg, state, hyp.scorer_state, hyp, lex[1])
                 live.append((lex, hyp))
             beam.append(hyp)
         if beam[0].finished:

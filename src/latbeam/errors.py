@@ -63,6 +63,11 @@ class ScorerFormatError(LatbeamError):
     pass
 
 
+class BleuError(LatbeamError, ValueError):
+    """Hypotheses and references that BLEU cannot compare: unequal
+    counts, or none at all."""
+
+
 class ConfigError(LatbeamError, ValueError):
     """An invalid setting, such as a decoder beam below 1."""
 

@@ -11,15 +11,16 @@ log-probabilities. Arcs are Arc NamedTuples that unpack as
 (label, weight, dst); the loops here unpack them rather than read
 attributes. Each stage writes its output arcs once, straight into the
 arc lists, and skips work its input does not need: rm_epsilon builds
-no closure for epsilon-free input, determinize only renumbers the
-accessible states in BFS order when its input is already deterministic
-(with finite arc weights), and connect returns a copy with the same
-numbering when it drops nothing. determinize, minimize and push_log are
-checked wrappers around private cores; prepare() checks its input once
-and chains the cores, handing each the topological order the stage
-before it already knows. minimize, push_log and n_shortest_strings
-share one shortest-distance pass (_potentials), differing only in the
-semiring plus they hand it. The enumeration helpers at the bottom are
+no closure for epsilon-free input, where it only merges parallel arcs,
+and trims without a copy when it drops nothing; determinize only
+renumbers the accessible states in BFS order when its input is already
+deterministic (with finite arc weights); and connect returns a copy
+with the same numbering when it drops nothing. determinize, minimize
+and push_log are checked wrappers around private cores; prepare()
+checks its input once and chains the cores, handing each the
+topological order the stage before it already knows. minimize, push_log
+and n_shortest_strings share one shortest-distance pass (_potentials),
+differing only in the semiring plus they hand it. The enumeration helpers at the bottom are
 deliberately naive; they exist as oracles for the efficient code paths
 and for desk-scale analysis.
 """
@@ -77,9 +78,15 @@ def connect(w: Wfsa) -> Wfsa:
     result is always a structurally valid automaton. When every state
     survives, the result is a copy with the input's numbering.
     """
+    trimmed = _connect(w)
+    return w.copy() if trimmed is w else trimmed
+
+
+def _connect(w: Wfsa) -> Wfsa:
+    """connect, but w itself when every state survives."""
     keep = _accessible(w) & _coaccessible(w)
     if len(keep) == w.num_states:
-        return w.copy()
+        return w
     keep.add(w.start)
     old_order = sorted(keep)
     renum = {old: new for new, old in enumerate(old_order)}
@@ -111,6 +118,7 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
     if w.has_epsilon():
         eps_only = Wfsa(w.semiring)
         eps_only.arcs = [[a for a in state_arcs if a[0] == EPS] for state_arcs in arcs]
+        arcs = [[a for a in state_arcs if a[0] != EPS] for state_arcs in arcs]  # real arcs
         eps_order = topological_order(eps_only)
         if eps_order is None:
             raise EpsilonCycleError("epsilon cycle detected")
@@ -128,13 +136,17 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
     out.ensure_state(w.num_states - 1)
     out.start = w.start
     for src in range(w.num_states):
+        reach = sorted(closure[src].items()) if closure[src] else ()
+        # INF is the identity of both additions, so the first arc of a
+        # (label, dst) keeps its cost and only a parallel duplicate adds
         merged: dict[tuple[int, int], float] = {}
-        reach = sorted(closure[src].items())
-        for via, cost in [(src, semiring.ONE), *reach]:
+        for via, cost in ((src, semiring.ONE), *reach):
             for label, weight, dst in arcs[via]:
-                if label != EPS:
-                    key = (label, dst)
-                    merged[key] = plus(merged.get(key, INF), cost + weight)
+                key = (label, dst)
+                if key in merged:
+                    merged[key] = plus(merged[key], cost + weight)
+                else:
+                    merged[key] = cost + weight
         out.arcs[src] = [_new(Arc, (label, weight, dst))
                          for (label, dst), weight in sorted(merged.items())]
         final = finals.get(src, INF)
@@ -144,7 +156,7 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
                 final = plus(final, cost + f)
         if final != INF:
             out.finals[src] = final
-    return connect(out)
+    return _connect(out)
 
 
 def determinize(w: Wfsa) -> Wfsa:

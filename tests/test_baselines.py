@@ -17,9 +17,10 @@ from latbeam.baselines import (
     rescore_nbest_naive,
 )
 from latbeam.decoder import DecoderConfig
+from latbeam import semiring
 from latbeam.errors import ConfigError
 from latbeam.ops import n_shortest_strings
-from latbeam.posterior import prepare
+from latbeam.posterior import PosteriorLattice, prepare
 from latbeam.scorers import (
     NgramScorer,
     Prediction,
@@ -33,9 +34,40 @@ from latbeam.synth import (
     random_table_scorer,
     sausage_lattice,
 )
-from latbeam.wfsa import Wfsa
+from latbeam.wfsa import SymbolTable, Wfsa, parse_wfsa
 
 A, B, C = 1, 2, 3
+
+TIE_LATTICE_27 = """\
+0 1 a 1.35583515364
+0 1 b 1.35583515364
+0 2 c 0.937124818777
+0 3 d 2.37748640117
+1 4 a 1.27296567581
+1 5 b 2.1202635362
+1 4 c 1.27296567581
+1 4 d 1.27296567581
+2 6 c 1.15267950994
+2 1 d 0.418710334858
+3 7 a 0.810930216216
+3 8 b 0.587786664902
+4 5 a 0.847297860387
+4 9 b 1.94591014906
+4 5 c 0.847297860387
+5 9 b 1.09861228867
+5 9 c 1.09861228867
+5 9 d 1.09861228867
+6 4 b 0.538996500733
+6 8 d 0.875468737354
+7 5 b 0.287682072452
+8 9 b 1.60943791243
+8 5 c 0.510825623766
+1 3.21887582487
+2 3.63758615973
+7 1.38629436112
+8 1.60943791243
+9 0
+"""
 
 
 def l1() -> Wfsa:
@@ -93,6 +125,25 @@ class TestNBestList:
     def test_shorter_list_when_language_small(self):
         lat = prepare(l1())
         assert len(nbest_from_posterior(lat, 100)) == 2
+
+    def test_cost_an_ulp_out_of_order_is_clamped(self):
+        # tie_heavy_dfa(Random(27)) of tests/test_ops.py with every weight
+        # zeroed, pushed, serialized and read back: its exact path costs
+        # are not monotone in search order
+        symbols = SymbolTable()
+        for token in "abcd":
+            symbols.add(token)
+        lat = PosteriorLattice(parse_wfsa(TIE_LATTICE_27, symbols,
+                                          semiring_tag=semiring.LOG))
+        exact = n_shortest_strings(lat.inner, 50)
+        assert any(a[1] > b[1] for a, b in zip(exact, exact[1:]))
+        nbest = nbest_from_posterior(lat, 50)
+        assert [t for t, _ in nbest.entries] == [t for t, _ in exact]
+        last = math.inf
+        for (_, logprob), (_, cost) in zip(nbest.entries, exact):
+            assert logprob == min(last, -cost)
+            assert logprob == pytest.approx(-cost, abs=1e-12)
+            last = logprob
 
 
 class TestDecodeUnconstrained:

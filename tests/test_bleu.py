@@ -6,7 +6,7 @@ import random
 import pytest
 
 from latbeam.bleu import corpus_bleu, tune_grid
-from latbeam.errors import LatbeamError, TuneError
+from latbeam.errors import BleuError, LatbeamError, TuneError
 from latbeam.posterior import prepare
 from latbeam.scorers import Prediction, TableScorer, UniformScorer
 from latbeam.wfsa import Wfsa
@@ -82,6 +82,13 @@ class TestCorpusBleu:
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="empty"):
             corpus_bleu([], [])
+
+    @pytest.mark.parametrize("hyps, refs", [([["a"]], [["a"], ["b"]]), ([], [])])
+    def test_rejection_is_a_latbeam_error(self, hyps, refs):
+        with pytest.raises(BleuError) as exc:
+            corpus_bleu(hyps, refs)
+        assert isinstance(exc.value, LatbeamError)
+        assert isinstance(exc.value, ValueError)
 
     def test_score_range_on_random_corpora(self):
         rng = random.Random(211)

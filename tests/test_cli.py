@@ -1,6 +1,7 @@
 """Command line round trips on a small generated workspace."""
 
 import concurrent.futures
+import gc
 import hashlib
 import json
 import math
@@ -350,6 +351,20 @@ class TestFailureModes:
         assert proc.stderr.startswith("latbeam: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("hyp_text, ref_text, reason", [
+        ("a b\n", "a b\nc d\n", "1 hypotheses against 2 references"),
+        ("", "", "empty corpus"),
+    ])
+    def test_bleu_unusable_corpus_is_one_line_error(self, tmp_path, hyp_text,
+                                                    ref_text, reason):
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text(hyp_text)
+        ref.write_text(ref_text)
+        proc = run_cli("bleu", hyp, ref)
+        assert proc.returncode == 1
+        assert proc.stderr == f"latbeam: {reason}\n"
+        assert proc.stdout == ""
+
     def test_push_unreachable_final_accepts_nothing(self, ws, tmp_path, capsys):
         latdir = tmp_path / "lats"
         latdir.mkdir()
@@ -688,3 +703,79 @@ class TestScorerVocabulary:
         if command != "rescore":
             assert line.startswith("000: ")
 
+
+
+class TestCollector:
+    """main runs with Python's cyclic collector off, because latbeam's
+    arcs, lattices, hypotheses and n-best lists hold no reference
+    cycles, and restores the collector's previous state on return."""
+
+    SIZES = (6, 24)
+    COMMANDS = ("push", "decode", "nbest", "rescore", "tune")
+
+    @pytest.fixture(scope="class")
+    def sets(self, tmp_path_factory):
+        """A pushed demo set with a bigram model and a 5-best file per size."""
+        roots = {}
+        for n in self.SIZES:
+            root = roots[n] = tmp_path_factory.mktemp(f"demo{n}")
+            symtab = str(root / "symtab.txt")
+            assert main(["demo", str(root), "--seed", "7", "--sentences", str(n)]) == 0
+            assert main(["push", str(root / "lattices"), str(root / "pushed"),
+                         "--symtab", symtab]) == 0
+            assert main(["train", str(root / "train.txt"), "--out", str(root / "model.txt"),
+                         "--symtab", symtab, "--order", "2"]) == 0
+            assert main(["nbest", str(root / "pushed"), "--symtab", symtab,
+                         "--nbest", "5", "--out", str(root / "hyps.nbest")]) == 0
+        return roots
+
+    @staticmethod
+    def argv(command, root, out):
+        model = ["--symtab", str(root / "symtab.txt"), "--scorer", "ngram",
+                 "--model", str(root / "model.txt")]
+        return {
+            "push": ["push", str(root / "lattices"), str(out),
+                     "--symtab", str(root / "symtab.txt")],
+            "decode": ["decode", str(root / "pushed"), *model, "--out", str(out)],
+            "nbest": ["nbest", str(root / "pushed"), "--symtab", str(root / "symtab.txt"),
+                      "--nbest", "20", "--out", str(out)],
+            "rescore": ["rescore", str(root / "hyps.nbest"), *model, "--out", str(out)],
+            "tune": ["tune", str(root / "pushed"), str(root / "refs.txt"), *model,
+                     "--grid", "0:1:0.5"],
+        }[command]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cyclic_garbage_does_not_grow_with_input(self, sets, tmp_path, capsys,
+                                                     command):
+        found = {}
+        for n in self.SIZES:
+            argv = self.argv(command, sets[n], tmp_path / f"out{n}")
+            # off around main too, so no automatic collection runs
+            # between main's return and the count
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv) == 0
+                found[n] = gc.collect()
+            finally:
+                gc.enable()
+        capsys.readouterr()
+        assert found[6] == found[24]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, ws, tmp_path, capsys, enabled):
+        runs = [
+            (["stats", str(ws / "lattices"), "--symtab", str(ws / "symtab.txt")], 0),
+            (["decode", str(tmp_path / "none"), "--symtab", str(ws / "symtab.txt")], 1),
+        ]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, code in runs:
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit):
+                main(["decode"])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        capsys.readouterr()

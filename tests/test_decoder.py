@@ -432,8 +432,14 @@ class TestDecode:
                     assert result.node_expansions == plain.predict_calls
                     assert scorer.predict_calls == sum(
                         len(set(expanded)) for expanded, _ in trace)
+                    # a survivor consumes its token when it is expanded,
+                    # so the last step's survivors consume nothing and
+                    # keep their parent's scorer state
                     assert scorer.consume_calls == sum(
-                        len(set(consumed)) for _, consumed in trace)
+                        len(set(consumed)) for _, consumed in trace[:-1])
+                    for hyp in result.beam:
+                        if not hyp.finished:
+                            assert hyp.scorer_state == hyp.parent.scorer_state
 
     @pytest.mark.parametrize("wrapper", ["fresh-states", "fresh-predictions"])
     def test_equal_values_need_not_be_identical(self, wrapper):
