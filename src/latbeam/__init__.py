@@ -16,14 +16,13 @@ from .errors import (
     NotCoaccessibleError,
     NotDeterministicError,
     NotStochasticError,
-    PathCountError,
     ScorerFormatError,
     SearchError,
     SemiringError,
     TuneError,
     UnknownSymbolError,
 )
-from .semiring import INF, LOG, ONE, TROPICAL, ZERO, log_add, log_sum, trop_add
+from .semiring import INF, LOG, ONE, TROPICAL, ZERO, log_add, trop_add
 from .wfsa import (
     EPS,
     EPS_SYM,
@@ -39,13 +38,9 @@ from .wfsa import (
     validate,
 )
 from .ops import (
-    aggregate_strings,
     check_stochastic,
     connect,
-    count_paths,
     determinize,
-    enumerate_paths,
-    equivalent_acyclic,
     minimize,
     n_shortest_strings,
     push_log,
@@ -66,7 +61,6 @@ from .scorers import (
     UniformScorer,
     load_ngram_model,
     load_table_scorer,
-    perplexity,
     train_ngram,
 )
 from .decoder import (
@@ -88,9 +82,6 @@ from .baselines import (
 from .bleu import BleuReport, TuneResult, corpus_bleu, tune_grid
 from .synth import (
     build_demo,
-    lattice_prefixes,
-    random_acyclic_wfsa,
-    random_table_scorer,
     sausage_lattice,
     write_demo,
 )

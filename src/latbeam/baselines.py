@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .decoder import DecoderConfig, DecodeResult, _beam_search, _joint, check_lambdas
+from .errors import ConfigError
 from .ops import _n_shortest
 from .posterior import PosteriorLattice
 from .scorers import EOS_ID
@@ -33,10 +34,10 @@ class NBestList:
         last = math.inf
         for tokens, logprob in self.entries:
             if tokens in seen:
-                raise ValueError(f"duplicate n-best entry {tokens!r}")
+                raise ConfigError(f"duplicate n-best entry {tokens!r}")
             seen.add(tokens)
             if logprob > last:
-                raise ValueError("n-best log-probabilities must be non-increasing")
+                raise ConfigError("n-best log-probabilities must be non-increasing")
             last = logprob
 
     def __len__(self) -> int:
@@ -74,7 +75,7 @@ def decode_unconstrained(scorer, cfg: DecoderConfig | None = None) -> DecodeResu
     if cfg is None:
         cfg = DecoderConfig()
     if cfg.lambda_scorer <= 0:
-        raise ValueError("unconstrained decoding needs lambda_scorer > 0")
+        raise ConfigError("unconstrained decoding needs lambda_scorer > 0")
 
     def expand(_, pred):
         lam = cfg.lambda_scorer

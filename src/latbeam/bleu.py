@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import BleuError, TuneError
+from .errors import BleuError, ConfigError, TuneError
 
 MAX_ORDER = 4
 
@@ -101,7 +101,7 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
     lattices = list(lattices)
     references = list(references)
     if len(lattices) != len(references):
-        raise ValueError("development lattices and references differ in length")
+        raise ConfigError("development lattices and references differ in length")
     grid = sorted(grid)
     if not grid:
         raise TuneError("empty lambda_lat grid")

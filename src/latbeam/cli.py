@@ -39,7 +39,8 @@ from .bleu import corpus_bleu, tune_grid
 from .decoder import DecoderConfig, decode
 from .errors import LatbeamError
 from .posterior import STAGES, PosteriorLattice, prepare
-from .scorers import UniformScorer, load_ngram_model, load_table_scorer, train_ngram
+from .scorers import (MAX_ORDER, UniformScorer, load_ngram_model, load_table_scorer,
+                      train_ngram)
 from .synth import build_demo, write_demo
 from .wfsa import (
     SymbolTable,
@@ -552,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--symtab")
-    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--order", type=int, default=2,
+                   help=f"n-gram order, 1 to {MAX_ORDER} (default 2)")
     p.add_argument("--smoothing", choices=["add-k", "stupid-backoff"],
                    default="add-k")
     p.add_argument("--k", type=float, default=1.0)

@@ -51,10 +51,6 @@ class EmptyLatticeError(LatbeamError):
     pass
 
 
-class PathCountError(LatbeamError):
-    """Exhaustive enumeration would exceed its path cap."""
-
-
 class SemiringError(LatbeamError):
     pass
 

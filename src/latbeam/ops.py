@@ -20,9 +20,7 @@ and push_log are checked wrappers around private cores; prepare()
 checks its input once and chains the cores, handing each the
 topological order the stage before it already knows. minimize, push_log
 and n_shortest_strings share one shortest-distance pass (_potentials),
-differing only in the semiring plus they hand it. The enumeration helpers at the bottom are
-deliberately naive; they exist as oracles for the efficient code paths
-and for desk-scale analysis.
+differing only in the semiring plus they hand it.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ from .errors import (
     EpsilonCycleError,
     NotCoaccessibleError,
     NotDeterministicError,
-    PathCountError,
-    SemiringError,
 )
 from .semiring import INF, STOCHASTIC_TOL
 from .wfsa import EPS, Arc, Wfsa, _accessible, _coaccessible, _new, topological_order
@@ -393,73 +389,10 @@ def check_stochastic(w: Wfsa, tol: float = STOCHASTIC_TOL) -> bool:
     return True
 
 
-def count_paths(w: Wfsa) -> int:
-    """Number of accepting paths (cycle-free input only)."""
-    order = _require_acyclic(w, "count_paths")
-    counts = [0] * w.num_states
-    for q in reversed(order):
-        total = 1 if q in w.finals else 0
-        for arc in w.arcs_from(q):
-            if arc.weight != INF:
-                total += counts[arc.dst]
-        counts[q] = total
-    return counts[w.start] if w.num_states else 0
 
 
-def enumerate_paths(w: Wfsa, cap: int = 10 ** 6) -> list[tuple[tuple[int, ...], float]]:
-    """Every accepting path as (label sequence, total cost), DFS order.
-
-    The cost of a path is the plain sum of its arc weights plus the final
-    weight; add-aggregation per string is the caller's business (see
-    aggregate_strings). Arcs with infinite weight carry no paths. Raises
-    PathCountError when the lattice holds more than cap paths.
-    """
-    total = count_paths(w)
-    if total > cap:
-        raise PathCountError(f"lattice has {total} paths, cap is {cap}")
-    if not w.num_states:
-        return []
-    paths: list[tuple[tuple[int, ...], float]] = []
-    tokens: list[int] = []
-    f = w.final_weight(w.start)
-    if f != INF:
-        paths.append(((), f))
-    frames: list[list] = [[w.start, 0, 0.0]]
-    while frames:
-        frame = frames[-1]
-        state, i, acc = frame
-        arcs = w.arcs_from(state)
-        if i < len(arcs):
-            frame[1] += 1
-            arc = arcs[i]
-            if arc.weight == INF:
-                continue
-            tokens.append(arc.label)
-            cost = acc + arc.weight
-            f = w.final_weight(arc.dst)
-            if f != INF:
-                paths.append((tuple(tokens), cost + f))
-            frames.append([arc.dst, 0, cost])
-        else:
-            frames.pop()
-            if tokens:
-                tokens.pop()
-    return paths
 
 
-def aggregate_strings(paths, semiring_tag: str) -> dict[tuple[int, ...], float]:
-    """Fold a path list into per-string costs with the given addition.
-
-    Epsilon labels are projected out first: the string a path accepts is
-    its sequence of real tokens, so paths differing only in epsilons are
-    the same string and their costs combine.
-    """
-    plus = semiring.plus_for(semiring_tag)
-    agg: dict[tuple[int, ...], float] = {}
-    for tokens, cost in paths:
-        string = tuple(t for t in tokens if t != EPS)
-        agg[string] = plus(agg.get(string, INF), cost)
-    return agg
 
 
 def n_shortest_strings(w: Wfsa, n: int) -> list[tuple[tuple[int, ...], float]]:
@@ -554,26 +487,3 @@ def _n_shortest(w: Wfsa, order: list[int], n: int) -> list[tuple[tuple[int, ...]
         else:
             return results
 
-
-def equivalent_acyclic(a: Wfsa, b: Wfsa, tol: float = 1e-9,
-                       cap: int = 10 ** 6) -> bool:
-    """Compare two acyclic acceptors string by string.
-
-    Both languages are enumerated exhaustively, aggregated with the shared
-    semiring's addition, and compared over the union of their strings at
-    absolute tolerance tol.
-    """
-    if a.semiring != b.semiring:
-        raise SemiringError("cannot compare automata over different semirings")
-    agg_a = aggregate_strings(enumerate_paths(a, cap), a.semiring)
-    agg_b = aggregate_strings(enumerate_paths(b, cap), b.semiring)
-    for key in agg_a.keys() | agg_b.keys():
-        ca = agg_a.get(key, INF)
-        cb = agg_b.get(key, INF)
-        if ca == INF or cb == INF:
-            if ca != cb:
-                return False
-            continue
-        if not abs(ca - cb) <= tol:
-            return False
-    return True

@@ -101,10 +101,6 @@ class PosteriorLattice:
     def num_states(self) -> int:
         return self.inner.num_states
 
-    @property
-    def vocabulary(self) -> set[int]:
-        return {arc.label for row in self._rows for arc in row}
-
     def successors(self, state: int) -> tuple[Arc, ...]:
         """The state's outgoing arcs sorted by label; each weight is the
         negative conditional log-probability of its label."""

@@ -25,7 +25,7 @@ end of a sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, ScorerFormatError
@@ -38,6 +38,9 @@ EOS_ID = -3
 UNK_SYM = "<unk>"
 BOS_SYM = "<s>"
 EOS_SYM = "</s>"
+
+# training memory grows with order squared times corpus tokens
+MAX_ORDER = 10
 
 _SPECIAL_IDS = {UNK_SYM: UNK_ID, BOS_SYM: BOS_ID, EOS_SYM: EOS_ID}
 _SPECIAL_SYMS = {v: k for k, v in _SPECIAL_IDS.items()}
@@ -155,9 +158,10 @@ def train_ngram(corpus, order: int, smoothing: str = "add-k",
     stupid-backoff discounts down the context ladder by alpha and is then
     renormalized per context so predictions stay proper distributions
     (its unigram base is add-k smoothed, keeping every event off zero).
+    order runs from 1 to MAX_ORDER.
     """
-    if order < 1:
-        raise ConfigError("order must be at least 1")
+    if not 1 <= order <= MAX_ORDER:
+        raise ConfigError(f"order must be from 1 to {MAX_ORDER}, got {order}")
     if smoothing not in ("add-k", "stupid-backoff"):
         raise ConfigError(f"unknown smoothing {smoothing!r}")
     if not 0 < k < math.inf:
@@ -389,24 +393,3 @@ def load_table_scorer(path, symbols) -> TableScorer:
             rows[prefix] = pred
             vocab.update(pred.in_vocab)
     return TableScorer(rows, vocab)
-
-
-def perplexity(scorer, corpus) -> float:
-    """exp of the average per-event negative log-probability, eos included."""
-    total = 0.0
-    events = 0
-    for sent in corpus:
-        state = scorer.start()
-        for token in sent:
-            pred = scorer.predict(state)
-            if token in scorer.vocab:
-                total += pred.in_vocab[token]
-            else:
-                total += pred.unk_logprob
-            state = scorer.consume(state, token)
-            events += 1
-        total += scorer.predict(state).eos_logprob
-        events += 1
-    if not events:
-        raise ValueError("empty corpus")
-    return math.exp(-total / events)

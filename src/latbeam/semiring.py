@@ -56,11 +56,3 @@ def plus_for(semiring: str):
     if semiring == LOG:
         return log_add
     raise ValueError(f"unknown semiring {semiring!r}")
-
-
-def log_sum(values) -> float:
-    """Fold log_add over an iterable of costs. Empty input is ZERO."""
-    acc = ZERO
-    for v in values:
-        acc = log_add(acc, v)
-    return acc

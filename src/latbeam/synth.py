@@ -1,96 +1,22 @@
-"""Synthetic lattices and corpora for tests, benchmarks and the demo set.
+"""The seeded demo set and the long sausage lattice.
 
-All generators are driven by a caller-supplied random.Random (or seed),
-so the same seed always yields byte-identical data. The demo set is what
+Both generators take an integer seed, so the same seed always yields
+byte-identical data. The demo set is what `latbeam demo` writes and what
 the command line and the acceptance checks exercise end to end: a small
 shared vocabulary, one raw lattice per sentence built around a reference
 path, and a training corpus for the n-gram scorer drawn from the same
-distribution as the references.
+distribution as the references. sausage_lattice builds the long
+confusion-network-style lattices that the performance checks prepare.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import semiring
-from .scorers import Prediction, TableScorer
 from .wfsa import SymbolTable, Wfsa, format_symbols, serialize_wfsa
-
-
-def _rng(seed_or_rng) -> random.Random:
-    if isinstance(seed_or_rng, random.Random):
-        return seed_or_rng
-    return random.Random(seed_or_rng)
-
-
-def random_acyclic_wfsa(seed_or_rng, min_states: int = 5, max_states: int = 30,
-                        n_labels: int = 8, extra_arcs: float = 1.2,
-                        eps_fraction: float = 0.0,
-                        cost_range: tuple[float, float] = (0.0, 10.0),
-                        final_fraction: float = 0.15,
-                        label_base: int = 1) -> Wfsa:
-    """Random acyclic lattice with a guaranteed accepting backbone.
-
-    States are topologically numbered and arcs only run forward, so the
-    result is acyclic by construction; the chain 0 -> 1 -> ... -> n-1
-    with a final last state keeps every state useful. extra_arcs scales
-    how many additional forward arcs are sprinkled in, eps_fraction of
-    which carry the epsilon label.
-    """
-    rng = _rng(seed_or_rng)
-    n = rng.randint(min_states, max_states)
-    lo, hi = cost_range
-    labels = list(range(label_base, label_base + n_labels))
-    w = Wfsa(semiring.TROPICAL)
-    w.ensure_state(n - 1)
-    for q in range(n - 1):
-        w.add_arc(q, rng.choice(labels), rng.uniform(lo, hi), q + 1)
-    w.set_final(n - 1, rng.uniform(lo, hi))
-    for q in range(1, n - 1):
-        if rng.random() < final_fraction:
-            w.set_final(q, rng.uniform(lo, hi))
-    for _ in range(int(extra_arcs * n)):
-        src = rng.randrange(0, n - 1)
-        dst = rng.randrange(src + 1, n)
-        if eps_fraction and rng.random() < eps_fraction:
-            label = 0
-        else:
-            label = rng.choice(labels)
-        w.add_arc(src, label, rng.uniform(lo, hi), dst)
-    return w
-
-
-def lattice_prefixes(lattice, cap: int = 10 ** 5) -> set[tuple[int, ...]]:
-    """Every token prefix a posterior lattice can produce, root included."""
-    prefixes: set[tuple[int, ...]] = set()
-    stack: list[tuple[int, tuple[int, ...]]] = [(lattice.start, ())]
-    while stack:
-        state, prefix = stack.pop()
-        if prefix in prefixes:
-            continue
-        prefixes.add(prefix)
-        if len(prefixes) > cap:
-            raise ValueError("prefix cap exceeded")
-        for label, _, dst in lattice.successors(state):
-            stack.append((dst, prefix + (label,)))
-    return prefixes
-
-
-def random_table_scorer(seed_or_rng, vocab, prefixes) -> TableScorer:
-    """Table scorer with a random proper distribution for each prefix."""
-    rng = _rng(seed_or_rng)
-    events = sorted(vocab) + ["unk", "eos"]
-    rows = {}
-    for prefix in sorted(prefixes):
-        weights = [rng.uniform(0.05, 1.0) for _ in events]
-        total = sum(weights)
-        logprobs = [math.log(x / total) for x in weights]
-        in_vocab = dict(zip(sorted(vocab), logprobs[:-2]))
-        rows[tuple(prefix)] = Prediction(in_vocab, logprobs[-2], logprobs[-1])
-    return TableScorer(rows, vocab)
 
 
 @dataclass(slots=True)

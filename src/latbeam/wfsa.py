@@ -82,13 +82,6 @@ class SymbolTable:
     def close(self) -> None:
         self.closed = True
 
-    @classmethod
-    def from_tokens(cls, tokens) -> "SymbolTable":
-        table = cls()
-        for tok in tokens:
-            table.add(tok)
-        return table
-
 
 def parse_symbols(text: str) -> SymbolTable:
     """Parse a symbol table file. The result is closed."""
@@ -190,11 +183,6 @@ class Wfsa:
 
     def arcs_from(self, state: int) -> list[Arc]:
         return self.arcs[state]
-
-    def iter_arcs(self):
-        for src, arcs in enumerate(self.arcs):
-            for arc in arcs:
-                yield src, arc
 
     def has_epsilon(self) -> bool:
         return any(label == EPS for arcs in self.arcs for label, _, _ in arcs)

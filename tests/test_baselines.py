@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 import oracles
+from generators import lattice_prefixes, random_acyclic_wfsa, random_table_scorer, vocabulary
 
 from latbeam.baselines import (
     NBestList,
@@ -18,7 +19,7 @@ from latbeam.baselines import (
 )
 from latbeam.decoder import DecoderConfig
 from latbeam import semiring
-from latbeam.errors import ConfigError
+from latbeam.errors import ConfigError, LatbeamError
 from latbeam.ops import n_shortest_strings
 from latbeam.posterior import PosteriorLattice, prepare
 from latbeam.scorers import (
@@ -28,12 +29,7 @@ from latbeam.scorers import (
     UniformScorer,
     train_ngram,
 )
-from latbeam.synth import (
-    lattice_prefixes,
-    random_acyclic_wfsa,
-    random_table_scorer,
-    sausage_lattice,
-)
+from latbeam.synth import sausage_lattice
 from latbeam.wfsa import SymbolTable, Wfsa, parse_wfsa
 
 A, B, C = 1, 2, 3
@@ -105,6 +101,16 @@ class TestNBestList:
     def test_rejects_increasing_logprobs(self):
         with pytest.raises(ValueError, match="non-increasing"):
             NBestList([((A,), -0.9), ((B,), -0.2)])
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param([((A,), -0.5), ((A,), -0.6)], id="duplicate"),
+        pytest.param([((A,), -0.9), ((B,), -0.2)], id="increasing"),
+    ])
+    def test_rejection_is_a_config_error(self, entries):
+        with pytest.raises(ConfigError) as exc:
+            NBestList(entries)
+        assert isinstance(exc.value, LatbeamError)
+        assert isinstance(exc.value, ValueError)
 
     def test_from_posterior_matches_n_shortest(self):
         lat = prepare(l1())
@@ -194,6 +200,12 @@ class TestDecodeUnconstrained:
             decode_unconstrained(UniformScorer({A}),
                                  DecoderConfig(lambda_lat=1.0,
                                                lambda_scorer=0.0))
+
+    def test_missing_scorer_weight_is_a_config_error(self):
+        with pytest.raises(ConfigError) as exc:
+            decode_unconstrained(UniformScorer({A}), DecoderConfig(lambda_scorer=0.0))
+        assert isinstance(exc.value, LatbeamError)
+        assert isinstance(exc.value, ValueError)
 
     def test_matches_bruteforce_over_bounded_strings(self):
         rng = random.Random(113)
@@ -305,7 +317,7 @@ class TestRescoreDfs:
         for _ in range(20):
             lat = prepare(random_acyclic_wfsa(rng, max_states=20))
             nbest = nbest_from_posterior(lat, 100)
-            scorer = random_table_scorer(rng, lat.vocabulary,
+            scorer = random_table_scorer(rng, vocabulary(lat),
                                          lattice_prefixes(lat))
             naive = rescore_nbest_naive(nbest, scorer)
             dfs = rescore_nbest_dfs(nbest, scorer)
@@ -328,7 +340,7 @@ class TestRescoreDfs:
             if not shares:
                 continue
             tested += 1
-            scorer = UniformScorer(lat.vocabulary)
+            scorer = UniformScorer(vocabulary(lat))
             naive = rescore_nbest_naive(nbest, scorer)
             dfs = rescore_nbest_dfs(nbest, scorer)
             assert dfs.predict_calls < naive.predict_calls

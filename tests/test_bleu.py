@@ -6,7 +6,7 @@ import random
 import pytest
 
 from latbeam.bleu import corpus_bleu, tune_grid
-from latbeam.errors import BleuError, LatbeamError, TuneError
+from latbeam.errors import BleuError, ConfigError, LatbeamError, TuneError
 from latbeam.posterior import prepare
 from latbeam.scorers import Prediction, TableScorer, UniformScorer
 from latbeam.wfsa import Wfsa
@@ -191,6 +191,13 @@ class TestTuneGrid:
         with pytest.raises(ValueError, match="differ"):
             tune_grid([lat, lat], [(A, B)], UniformScorer({A, B, C}),
                       grid=[1.0])
+
+    def test_length_mismatch_is_a_config_error(self):
+        lat = prepare(two_path_lattice())
+        with pytest.raises(ConfigError) as exc:
+            tune_grid([lat], [(A, B), (A, C)], UniformScorer({A, B, C}), grid=[1.0])
+        assert isinstance(exc.value, LatbeamError)
+        assert isinstance(exc.value, ValueError)
 
     def test_empty_grid_is_a_tune_error(self):
         lat = prepare(two_path_lattice())

@@ -19,6 +19,7 @@ from latbeam import cli
 from latbeam.bleu import corpus_bleu
 from latbeam.cli import main
 from latbeam.posterior import PosteriorLattice
+from latbeam.scorers import MAX_ORDER
 from latbeam.wfsa import parse_symbols, parse_wfsa
 from latbeam import semiring
 
@@ -428,6 +429,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("flags", [
         pytest.param(["--order", "0"], id="order-0"),
+        pytest.param(["--order", "1000000"], id="order-above-cap"),
         pytest.param(["--k", "0"], id="k-0"),
         pytest.param(["--k", "nan"], id="k-nan"),
         pytest.param(["--smoothing", "stupid-backoff", "--alpha", "0"], id="alpha-0"),
@@ -447,6 +449,11 @@ class TestFailureModes:
         assert proc.stderr.startswith("latbeam: ")
         assert len(proc.stderr.splitlines()) == 1
         assert not out.exists()
+
+    def test_train_help_names_order_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        assert f"1 to {MAX_ORDER}" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("lambdas", [("-1", "0"), ("0", "0")])
     def test_rescore_invalid_lambdas_is_one_line_error(self, ws, tmp_path, capsys,

@@ -15,16 +15,13 @@ from latbeam.decoder import (
     local_log_norm,
 )
 from latbeam.errors import SearchError
-from latbeam.ops import enumerate_paths
 from latbeam.posterior import REJECT, prepare
 from latbeam.scorers import UNK_ID, Prediction, TableScorer, UniformScorer, train_ngram
-from latbeam.synth import (
-    lattice_prefixes,
-    random_acyclic_wfsa,
-    random_table_scorer,
-    sausage_lattice,
-)
+from latbeam.synth import sausage_lattice
 from latbeam.wfsa import Wfsa
+
+from generators import lattice_prefixes, random_acyclic_wfsa, random_table_scorer, vocabulary
+from oracles import enumerate_paths
 
 A, B, C, X = 1, 2, 3, 7
 
@@ -409,7 +406,7 @@ class TestDecode:
         rng = random.Random(103)
         for _ in range(15):
             lat = prepare(random_acyclic_wfsa(rng, max_states=15))
-            scorer = random_table_scorer(rng, lat.vocabulary,
+            scorer = random_table_scorer(rng, vocabulary(lat),
                                          lattice_prefixes(lat))
             base = decode(lat, scorer, DecoderConfig(beam=8)).best.prefix
             for c in (0.1, 10.0):
@@ -512,7 +509,7 @@ class TestDecode:
             if len(paths) > 60:
                 continue
             checked += 1
-            scorer = random_table_scorer(rng, lat.vocabulary,
+            scorer = random_table_scorer(rng, vocabulary(lat),
                                          lattice_prefixes(lat))
             want = max(
                 ((tokens, self._joint(lat, scorer, tokens))

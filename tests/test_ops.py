@@ -7,6 +7,14 @@ import random
 import pytest
 
 import oracles
+from generators import iter_arcs, random_acyclic_wfsa, symbols_from_tokens
+from oracles import (
+    PathCountError,
+    aggregate_strings,
+    count_paths,
+    enumerate_paths,
+    equivalent_acyclic,
+)
 
 from latbeam import ops, semiring
 from latbeam.errors import (
@@ -15,18 +23,13 @@ from latbeam.errors import (
     EpsilonCycleError,
     NotCoaccessibleError,
     NotDeterministicError,
-    PathCountError,
 )
 from latbeam.ops import (
     _determinize,
     _subsets,
-    aggregate_strings,
     check_stochastic,
     connect,
-    count_paths,
     determinize,
-    enumerate_paths,
-    equivalent_acyclic,
     minimize,
     n_shortest_strings,
     push_log,
@@ -34,8 +37,7 @@ from latbeam.ops import (
 )
 from latbeam.posterior import prepare
 from latbeam.semiring import INF
-from latbeam.synth import random_acyclic_wfsa
-from latbeam.wfsa import EPS, Arc, SymbolTable, Wfsa, serialize_wfsa, topological_order
+from latbeam.wfsa import EPS, Arc, Wfsa, serialize_wfsa, topological_order
 
 A, B, C, D = 1, 2, 3, 4
 
@@ -119,7 +121,7 @@ class TestRmEpsilon:
         w.set_final(2)
         out = rm_epsilon(w)
         assert not out.has_epsilon()
-        [(src, arc)] = list(out.iter_arcs())
+        [(src, arc)] = list(iter_arcs(out))
         assert arc.label == A
         assert arc.weight == pytest.approx(0.7)
 
@@ -227,7 +229,7 @@ class TestDeterminize:
             return _subsets(w, order)
 
         monkeypatch.setattr(ops, "_subsets", counting)
-        symbols = SymbolTable.from_tokens(f"w{i}" for i in range(1, 7))
+        symbols = symbols_from_tokens(f"w{i}" for i in range(1, 7))
         rng = random.Random(97)
         for case in range(60):
             n = rng.randint(2, 25)
@@ -367,7 +369,7 @@ class TestPushLog:
         w = chain([0.3, 0.4])
         out, total = push_log(w)
         assert total == pytest.approx(0.7)
-        for _, arc in out.iter_arcs():
+        for _, arc in iter_arcs(out):
             assert arc.weight == pytest.approx(0.0, abs=1e-12)
         assert check_stochastic(out)
 
@@ -376,7 +378,7 @@ class TestPushLog:
         z = math.exp(-0.7) + math.exp(-1.6)
         assert total == pytest.approx(-math.log(z), abs=1e-12)
 
-        by_label = {arc.label: arc.weight for _, arc in out.iter_arcs()}
+        by_label = {arc.label: arc.weight for _, arc in iter_arcs(out)}
         p_b = math.exp(-0.7) / z
         assert p_b == pytest.approx(0.711, abs=5e-4)
         assert by_label[A] == pytest.approx(0.0, abs=1e-12)
@@ -396,8 +398,8 @@ class TestPushLog:
         out, _ = push_log(l1())
         again, total = push_log(out)
         assert total == pytest.approx(0.0, abs=1e-9)
-        original = {(s, a.label, a.dst): a.weight for s, a in out.iter_arcs()}
-        for s, a in again.iter_arcs():
+        original = {(s, a.label, a.dst): a.weight for s, a in iter_arcs(out)}
+        for s, a in iter_arcs(again):
             assert a.weight == pytest.approx(original[(s, a.label, a.dst)],
                                              abs=1e-9)
 

@@ -15,10 +15,13 @@ from latbeam.errors import (
     NotStochasticError,
     SemiringError,
 )
-from latbeam.ops import determinize, enumerate_paths, minimize, push_log, rm_epsilon
+from latbeam.ops import determinize, minimize, push_log, rm_epsilon
 from latbeam.posterior import REJECT, STAGES, PosteriorLattice, prepare
-from latbeam.synth import build_demo, random_acyclic_wfsa, sausage_lattice
+from latbeam.synth import build_demo, sausage_lattice
 from latbeam.wfsa import EPS, SymbolTable, Wfsa, serialize_wfsa, topological_order
+
+from generators import random_acyclic_wfsa, symbols_from_tokens, vocabulary
+from oracles import enumerate_paths
 
 A, B, C, Z = 1, 2, 3, 9
 
@@ -88,7 +91,7 @@ class TestPrepare:
         w.add_arc(1, A, 0.5, 2)
         w.set_final(2)
         lat = prepare(w)
-        assert lat.vocabulary == {A}
+        assert vocabulary(lat) == {A}
         assert lat.accepted_logprob((A,)) == pytest.approx(0.0, abs=1e-12)
 
     def test_discarded_total_is_logged(self, caplog):
@@ -159,7 +162,7 @@ def _two_arc_lattice(n_states: int, rng: random.Random) -> Wfsa:
 
 
 def _numbered(n: int) -> SymbolTable:
-    return SymbolTable.from_tokens(f"t{i:02d}" for i in range(1, n + 1))
+    return symbols_from_tokens(f"t{i:02d}" for i in range(1, n + 1))
 
 
 def _golden_inputs(name):

@@ -9,6 +9,7 @@ from latbeam.errors import ConfigError, ScorerFormatError, UnknownSymbolError
 from latbeam.scorers import (
     BOS_ID,
     EOS_ID,
+    MAX_ORDER,
     UNK_ID,
     NgramScorer,
     Prediction,
@@ -16,10 +17,11 @@ from latbeam.scorers import (
     UniformScorer,
     load_ngram_model,
     load_table_scorer,
-    perplexity,
     train_ngram,
 )
 from latbeam.wfsa import SymbolTable
+
+from oracles import perplexity
 
 A, B, C = 1, 2, 3
 
@@ -146,6 +148,12 @@ class TestTrainNgram:
         for alpha in (0.0, -0.4, math.nan):
             with pytest.raises(ConfigError, match="alpha"):
                 train_ngram([[A, B]], order=2, smoothing="stupid-backoff", alpha=alpha)
+
+    def test_order_is_capped(self):
+        assert train_ngram([[A, B]], order=MAX_ORDER).order == MAX_ORDER
+        for order in (MAX_ORDER + 1, 10 ** 6):
+            with pytest.raises(ConfigError, match=f"from 1 to {MAX_ORDER}, got {order}"):
+                train_ngram([[A, B]], order=order)
 
 
 class TestNgramScorerState:

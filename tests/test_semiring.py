@@ -7,7 +7,9 @@ import mpmath
 import pytest
 
 from latbeam import semiring
-from latbeam.semiring import INF, ONE, ZERO, log_add, log_sum, times, trop_add
+from latbeam.semiring import INF, ONE, ZERO, log_add, times, trop_add
+
+from oracles import log_sum
 
 
 def log_add_reference(a: float, b: float) -> float:
