@@ -41,10 +41,22 @@ def corpus_bleu(hypotheses, references) -> BleuReport:
     identical corpora score exactly 1.0. Unequal counts and an empty
     corpus raise BleuError, which is also a ValueError.
     """
+    return _corpus_bleu(hypotheses, _count_references(references))
+
+
+def _count_references(references) -> list[tuple[int, list[Counter]]]:
+    """The length and the n-gram counts, orders 1 to MAX_ORDER, of each
+    reference: what BLEU reads of them, counted once for any number of
+    hypothesis sets."""
+    return [(len(ref), [_ngrams(ref, n) for n in range(1, MAX_ORDER + 1)])
+            for ref in map(tuple, references)]
+
+
+def _corpus_bleu(hypotheses, counted) -> BleuReport:
+    """corpus_bleu against references counted by _count_references."""
     hyps = [tuple(h) for h in hypotheses]
-    refs = [tuple(r) for r in references]
-    if len(hyps) != len(refs):
-        raise BleuError(f"{len(hyps)} hypotheses against {len(refs)} references")
+    if len(hyps) != len(counted):
+        raise BleuError(f"{len(hyps)} hypotheses against {len(counted)} references")
     if not hyps:
         raise BleuError("empty corpus")
 
@@ -52,14 +64,14 @@ def corpus_bleu(hypotheses, references) -> BleuReport:
     totals = [0] * MAX_ORDER
     hyp_length = 0
     ref_length = 0
-    for hyp, ref in zip(hyps, refs):
+    for hyp, (ref_len, ref_ngrams) in zip(hyps, counted):
         hyp_length += len(hyp)
-        ref_length += len(ref)
+        ref_length += ref_len
         for n in range(1, MAX_ORDER + 1):
             hyp_counts = _ngrams(hyp, n)
             if not hyp_counts:
                 continue
-            ref_counts = _ngrams(ref, n)
+            ref_counts = ref_ngrams[n - 1]
             totals[n - 1] += sum(hyp_counts.values())
             matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
 
@@ -92,15 +104,16 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
 
     Only the ratio of the two weights matters to the decoder's argmax, so
     lambda_scorer stays fixed at 1 and the grid sweeps lambda_lat. Ties
-    go to the smaller lambda_lat. Decoding failures are re-raised as
+    go to the smaller lambda_lat. The references' n-grams are counted
+    once, for every grid point. Decoding failures are re-raised as
     TuneError naming the offending sentence; an empty grid is a
     TuneError too.
     """
     from .decoder import DecoderConfig, decode
 
     lattices = list(lattices)
-    references = list(references)
-    if len(lattices) != len(references):
+    counted = _count_references(references)
+    if len(lattices) != len(counted):
         raise ConfigError("development lattices and references differ in length")
     grid = sorted(grid)
     if not grid:
@@ -117,7 +130,7 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
             except Exception as exc:
                 raise TuneError(f"decode failed on sentence {i} at "
                                 f"lambda_lat={lam}: {exc}") from exc
-        report = corpus_bleu(hyps, references)
+        report = _corpus_bleu(hyps, counted)
         history.append((lam, report.score))
         if best is None or report.score > best.bleu.score:
             best = TuneResult(lam, 1.0, report)

@@ -180,9 +180,10 @@ def _read_posterior(path: Path, symbols: SymbolTable) -> PosteriorLattice:
 
 
 def _push_file(path: Path, symbols: SymbolTable, outdir: Path) -> dict[str, float]:
-    raw = parse_wfsa(_read_text(path), symbols)
     timings: dict[str, float] = {}
-    lattice = prepare(raw, stages=timings)
+    # no name here holds the raw lattice, so prepare can free it after
+    # epsilon removal (on CPython 3.11 and later)
+    lattice = prepare(parse_wfsa(_read_text(path), symbols), stages=timings)
     out = outdir / path.name
     with _file_errors(out):
         out.write_text(serialize_wfsa(lattice.inner, symbols), encoding="utf-8")
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("nbest", help="extract n-best lists from pushed lattices")
     p.add_argument("latdir")
     p.add_argument("--symtab", required=True)
-    p.add_argument("--nbest", type=int, default=100, metavar="N")
+    p.add_argument("--nbest", type=positive_int, default=100, metavar="N")
     p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_nbest)
@@ -565,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("demo", help="write the bundled synthetic demo set")
     p.add_argument("outdir")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sentences", type=int, default=50)
+    p.add_argument("--sentences", type=positive_int, default=50)
     p.set_defaults(func=cmd_demo)
 
     return parser

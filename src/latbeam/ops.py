@@ -18,7 +18,10 @@ deterministic (with finite arc weights); and connect returns a copy
 with the same numbering when it drops nothing. determinize, minimize
 and push_log are checked wrappers around private cores; prepare()
 checks its input once and chains the cores, handing each the
-topological order the stage before it already knows. minimize, push_log
+topological order the stage before it already knows. It runs epsilon
+removal without the trim and then trims along that order (_trim), which
+marks live states with no reverse adjacency list and no state-id sets;
+minimize trims the same way. minimize, push_log
 and n_shortest_strings share one shortest-distance pass (_potentials),
 differing only in the semiring plus they hand it.
 """
@@ -84,17 +87,50 @@ def _connect(w: Wfsa) -> Wfsa:
     if len(keep) == w.num_states:
         return w
     keep.add(w.start)
-    old_order = sorted(keep)
-    renum = {old: new for new, old in enumerate(old_order)}
+    return _restrict(w, sorted(keep))[0]
+
+
+def _trim(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
+    """_connect for an acyclic w with its topological order given, also
+    returning the result's order (the given one, renumbered). Live
+    states are marked along the order, accessible ones forward, then
+    backward those that reach a final state: no reverse adjacency list
+    and no state-id sets."""
+    n = w.num_states
+    arcs, finals = w.arcs, w.finals
+    live = bytearray(n)
+    if n:
+        live[w.start] = 1
+    for q in order:
+        if live[q]:
+            for _, _, dst in arcs[q]:
+                live[dst] = 1
+    # the successors of an accessible state are accessible, so an
+    # accessible state stays marked when it is final or a successor is
+    for q in reversed(order):
+        if live[q] and q not in finals and not any(live[dst] for _, _, dst in arcs[q]):
+            live[q] = 0
+    if live.count(1) == n:
+        return w, order
+    live[w.start] = 1
+    out, renum = _restrict(w, [q for q in range(n) if live[q]])
+    return out, [renum[q] for q in order if live[q]]
+
+
+def _restrict(w: Wfsa, keep: list[int]) -> tuple[Wfsa, list[int]]:
+    """The sub-automaton on the ascending state ids keep, the start among
+    them, renumbered densely in that order; also the renumbering, with
+    -1 for a dropped state."""
+    renum = [-1] * w.num_states
+    for new, old in enumerate(keep):
+        renum[old] = new
     out = Wfsa(w.semiring)
     out.start = renum[w.start]
     out.arcs = [[_new(Arc, (label, weight, renum[dst]))
-                 for label, weight, dst in w.arcs[old] if dst in keep]
-                for old in old_order]
-    for old, weight in w.finals.items():
-        if old in keep:
-            out.finals[renum[old]] = weight
-    return out
+                 for label, weight, dst in w.arcs[old] if renum[dst] >= 0]
+                for old in keep]
+    out.finals = {renum[q]: f for q, f in w.finals.items() if renum[q] >= 0}
+    return out, renum
 
 
 def rm_epsilon(w: Wfsa) -> Wfsa:
@@ -105,6 +141,11 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
     same-label arcs the rewrite creates. Epsilon cycles are rejected.
     The result is trimmed.
     """
+    return _connect(_rm_epsilon(w))
+
+
+def _rm_epsilon(w: Wfsa) -> Wfsa:
+    """rm_epsilon without its trim: the result keeps w's state numbering."""
     plus = semiring.plus_for(w.semiring)
     arcs, finals = w.arcs, w.finals
     # closure[q]: total epsilon cost from q to every state it can reach
@@ -152,7 +193,7 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
                 final = plus(final, cost + f)
         if final != INF:
             out.finals[src] = final
-    return _connect(out)
+    return out
 
 
 def determinize(w: Wfsa) -> Wfsa:
@@ -279,49 +320,45 @@ def minimize(w: Wfsa) -> Wfsa:
     """
     if not w.is_deterministic():
         raise NotDeterministicError("minimize requires a deterministic lattice")
-    order = _require_acyclic(w, "minimize")
-    trimmed = connect(w)
+    trimmed, order = _trim(w, _require_acyclic(w, "minimize"))
     if not trimmed.finals:
-        return trimmed
-    if trimmed.num_states != w.num_states:
-        order = topological_order(trimmed)
+        return trimmed.copy()
     return _minimize(trimmed, order)[0]
 
 
 def _minimize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
     """minimize without its checks, for a deterministic trimmed w with
     the topological order given. Also returns the result's topological
-    order."""
+    order. Each pushed weight is computed where it is used, to class a
+    state and again for a state the result keeps, with the same
+    expression and so the same bits; the signature table is dropped
+    before the result is built."""
     potential = _potentials(w, order, semiring.plus_for(w.semiring))
-    start, fold = w.start, potential[w.start]
-    # pushed arcs as (label, weight, dst) rows sorted by label, which is
-    # unique per state; only the merged automaton gets Arc tuples
-    rows = [sorted([(label, weight + potential[dst] - p, dst) for label, weight, dst in arcs])
-            for arcs, p in zip(w.arcs, potential)]
-    rows[start] = [(label, weight + fold, dst) for label, weight, dst in rows[start]]
+    arcs, start, fold = w.arcs, w.start, potential[w.start]
     finals = {q: f - potential[q] for q, f in w.finals.items()}
     if start in finals:
         finals[start] += fold
 
     # a state is classed after its successors, so a new class id exceeds
-    # the ids of every class it has an arc to
+    # the ids of every class it has an arc to; arcs are sorted by label,
+    # which is unique per state
     klass = [0] * w.num_states
     by_signature: dict[tuple, int] = {}
     for q in reversed(order):
-        signature = (
-            finals.get(q, INF),
-            tuple([(label, weight, klass[dst]) for label, weight, dst in rows[q]]),
-        )
-        found = by_signature.get(signature)
-        if found is None:
-            found = len(by_signature)
-            by_signature[signature] = found
-        klass[q] = found
+        p = potential[q]
+        row = tuple([(label, weight + potential[dst] - p, klass[dst])
+                     for label, weight, dst in sorted(arcs[q])])
+        if q == start:
+            row = tuple([(label, weight + fold, c) for label, weight, c in row])
+        klass[q] = by_signature.setdefault((finals.get(q, INF), row), len(by_signature))
+    n_classes = len(by_signature)
+    del by_signature
 
     out = Wfsa(w.semiring)
     out_arcs = out.arcs
     out_arcs.append([])
-    renum = {klass[start]: 0}
+    renum = [-1] * n_classes
+    renum[klass[start]] = 0
     queue = deque([start])
     while queue:
         rep = queue.popleft()
@@ -330,16 +367,20 @@ def _minimize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
         if f != INF:
             out.finals[sid] = f
         row = out_arcs[sid]
-        for label, weight, dst in rows[rep]:
+        p = potential[rep]
+        for label, weight, dst in sorted(arcs[rep]):
+            weight = weight + potential[dst] - p
+            if rep == start:
+                weight += fold
             c = klass[dst]
-            nid = renum.get(c)
-            if nid is None:
+            nid = renum[c]
+            if nid < 0:
                 nid = renum[c] = len(out_arcs)
                 out_arcs.append([])
                 queue.append(dst)
             row.append(_new(Arc, (label, weight, nid)))
     # descending class ids are a topological order of the classes
-    return out, [renum[c] for c in range(len(by_signature) - 1, -1, -1) if c in renum]
+    return out, [nid for nid in reversed(renum) if nid >= 0]
 
 
 def push_log(w: Wfsa) -> tuple[Wfsa, float]:

@@ -170,6 +170,13 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     and its output's topological order). The PosteriorLattice
     still verifies the result in full.
 
+    At most one stage's input and output are alive at a time: raw is
+    let go once its retagged copy exists (on CPython 3.11 and later it
+    is freed after epsilon removal unless the caller keeps it), and the
+    minimized automaton before verification. The trim marks live states
+    along the topological order; when that sort fails, a cycle may lie
+    among the states the trim drops, so connect's walk trims instead.
+
     When stages is given, the wall-clock seconds of each of STAGES are
     added to it (epsilon removal is billed to determinization), so one
     dict can sum the timings of many calls.
@@ -177,15 +184,24 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     if not raw.num_states:
         raise EmptyLatticeError("cannot prepare an empty lattice")
     work = raw.retagged(semiring.LOG)
+    del raw
     t0 = time.perf_counter()
-    work = ops.rm_epsilon(work)
+    work = ops._rm_epsilon(work)
+    order = topological_order(work)
+    if order is None:
+        work = ops._connect(work)
+    else:
+        work, order = ops._trim(work, order)
     if not work.finals:
         raise EmptyLatticeError("lattice accepts nothing")
-    work, order = ops._determinize(work, ops._require_acyclic(work, "determinize"))
+    if order is None:
+        order = ops._require_acyclic(work, "determinize")
+    work, order = ops._determinize(work, order)
     t1 = time.perf_counter()
     work, order = ops._minimize(work, order)
     t2 = time.perf_counter()
     pushed, total = ops._push_log(work, order)
+    del work, order
     t3 = time.perf_counter()
     if stages is not None:
         for name, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
-from latbeam.bleu import corpus_bleu, tune_grid
+from latbeam import bleu
+from latbeam.bleu import MAX_ORDER, corpus_bleu, tune_grid
+from latbeam.decoder import DecoderConfig, decode
 from latbeam.errors import BleuError, ConfigError, LatbeamError, TuneError
 from latbeam.posterior import prepare
 from latbeam.scorers import Prediction, TableScorer, UniformScorer
+from latbeam.synth import build_demo
 from latbeam.wfsa import Wfsa
 
 A, B, C = 1, 2, 3
@@ -203,3 +206,26 @@ class TestTuneGrid:
         lat = prepare(two_path_lattice())
         with pytest.raises(TuneError, match="empty lambda_lat grid"):
             tune_grid([lat], [(A, B)], UniformScorer({A, B, C}), grid=[])
+
+    def test_references_counted_once_per_tune(self, monkeypatch):
+        demo = build_demo(seed=13, n_sentences=12)
+        lattices = [prepare(raw) for raw in demo.lattices]
+        scorer = UniformScorer(set(demo.symbols.ids()))
+        grid = [0.0, 0.5, 1.0, 2.0]
+        calls = []
+        ngrams = bleu._ngrams
+
+        def counting(tokens, order):
+            calls.append(order)
+            return ngrams(tokens, order)
+
+        monkeypatch.setattr(bleu, "_ngrams", counting)
+        result = tune_grid(lattices, demo.references, scorer, grid=grid)
+        # each reference once per order, each hypothesis once per order
+        # and grid point
+        n = len(lattices)
+        assert len(calls) == MAX_ORDER * n * (1 + len(grid))
+        for lam, score in result.history:
+            cfg = DecoderConfig(lambda_lat=lam, lambda_scorer=1.0)
+            hyps = [decode(lat, scorer, cfg).best.prefix for lat in lattices]
+            assert score == corpus_bleu(hyps, demo.references).score

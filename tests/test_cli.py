@@ -671,6 +671,26 @@ class TestPerFileContract:
         assert "--workers" in capsys.readouterr().err
         assert recorded == []
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nbest_below_one_is_usage_error(self, ws, tmp_path, count):
+        out = tmp_path / "hyps.nbest"
+        proc = run_cli("nbest", ws / "pushed", "--symtab", ws / "symtab.txt",
+                       "--nbest", count, "--out", out)
+        assert proc.returncode == 2
+        assert "--nbest" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_demo_sentences_below_one_is_usage_error(self, tmp_path, count):
+        outdir = tmp_path / "demo"
+        proc = run_cli("demo", outdir, "--sentences", count)
+        assert proc.returncode == 2
+        assert "--sentences" in proc.stderr
+        assert "wrote demo set" not in proc.stderr
+        assert proc.stdout == ""
+        assert not outdir.exists()
+
     def test_tune_names_the_bad_lattice(self, ws, tmp_path, capsys):
         latdir = with_bad_lattice(ws / "pushed", tmp_path / "lats")
         assert main(["tune", str(latdir), str(ws / "refs.txt"),

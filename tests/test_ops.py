@@ -350,6 +350,27 @@ class TestMinimize:
         assert out.num_states == 3
         assert string_costs(out) == pytest.approx(string_costs(w))
 
+    def test_trims_dead_and_unreachable_states(self):
+        w = Wfsa()
+        w.add_arc(0, A, 0.1, 1)
+        w.add_arc(1, B, 0.2, 2)
+        w.set_final(2)
+        w.add_arc(0, B, 0.3, 3)     # a dead end
+        w.add_arc(4, A, 0.4, 2)     # unreachable
+        out = minimize(w)
+        want = minimize(connect(w))
+        assert (out.arcs, out.finals) == (want.arcs, want.finals)
+        assert out.num_states == 3
+        assert string_costs(out) == pytest.approx(string_costs(w))
+        # nothing accepted: the start state alone, never the input itself
+        w = Wfsa()
+        w.add_arc(0, A, 0.1, 1)
+        w.add_arc(2, B, 0.1, 3)
+        w.set_final(3)
+        out = minimize(w)
+        assert out is not w
+        assert (out.num_states, out.arcs, out.finals) == (1, [[]], {})
+
     def test_random_lattices_language_preserved(self):
         rng = random.Random(29)
         for _ in range(40):

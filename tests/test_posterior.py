@@ -4,6 +4,7 @@ import hashlib
 import logging
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -149,6 +150,39 @@ class TestPrepare:
         with pytest.raises(CyclicLatticeError):
             prepare(w)
 
+    @pytest.mark.parametrize("cycle", ["reachable", "unreachable"])
+    def test_finals_the_start_cannot_reach_next_to_a_cycle(self, cycle):
+        # test_rejects_lattice_with_no_finals has the acyclic case
+        w = Wfsa()
+        w.add_arc(0, A, 0.5, 1)
+        w.add_arc(2, B, 0.5, 3)
+        w.set_final(3)
+        if cycle == "reachable":
+            w.add_arc(1, C, 0.5, 0)
+        else:
+            w.add_arc(3, C, 0.5, 2)
+        with pytest.raises(EmptyLatticeError, match="accepts nothing"):
+            prepare(w)
+
+    @pytest.mark.parametrize("states", ["unreachable", "dead"])
+    def test_cycle_among_dropped_states(self, states):
+        # the trim drops the cycle, so the lattice prepares as l1 does
+        w = l1()
+        if states == "dead":
+            w.add_arc(1, Z, 0.1, 4)
+        w.add_arc(4, A, 0.1, 5)
+        w.add_arc(5, B, 0.1, 4)
+        lat = prepare(w)
+        expected = prepare(l1())
+        symbols = symbols_from_tokens(f"w{i}" for i in range(1, Z + 1))
+        assert serialize_wfsa(lat.inner, symbols) == serialize_wfsa(expected.inner, symbols)
+        assert lat.raw_total == expected.raw_total
+        pushed, total = push_log(minimize(determinize(rm_epsilon(
+            w.retagged(semiring.LOG)))))
+        assert lat.inner.arcs == pushed.arcs
+        assert lat.inner.finals == pushed.finals
+        assert lat.raw_total == total
+
 
 def _two_arc_lattice(n_states: int, rng: random.Random) -> Wfsa:
     # the lattice of acceptance criterion 12: two arcs per position
@@ -194,13 +228,25 @@ class TestPinnedBytes:
         assert h.hexdigest() == digest
 
 
+def _with_dropped_states(w: Wfsa) -> Wfsa:
+    # a dead end off every 100th position and an unreachable state
+    # after them: the trim after epsilon removal drops all of these
+    n = w.num_states
+    for q in range(0, n - 1, 100):
+        w.add_arc(q, 41, 1.0, w.num_states)
+    w.add_arc(w.num_states, 41, 1.0, n - 1)
+    assert ops.connect(w).num_states == n
+    return w
+
+
 class TestValidateOnce:
     @pytest.mark.parametrize("raw", [
         lambda: sausage_lattice(2000, seed=13),
         lambda: _two_arc_lattice(10_000, random.Random(443)),  # criterion 12's
         # needs the subset construction, which reports its own order
         lambda: build_demo(seed=13, n_sentences=1).lattices[0],
-    ], ids=["sausage", "acceptance_12", "demo_subsets"])
+        lambda: _with_dropped_states(sausage_lattice(2000, seed=13)),
+    ], ids=["sausage", "acceptance_12", "demo_subsets", "trim_drops"])
     def test_at_most_two_topological_orders(self, monkeypatch, raw):
         # one after epsilon removal, one in the PosteriorLattice check
         calls = []
@@ -214,6 +260,26 @@ class TestValidateOnce:
         lattice = prepare(raw())
         assert len(calls) <= 2
         assert lattice.num_states == calls[-1]
+
+
+class TestPrepareMemory:
+    def test_peak_stays_near_the_raw_lattice(self):
+        # The test holds the raw lattice, as a library caller does, so the
+        # peak counts it whatever the interpreter does with call
+        # arguments. With at most one stage's input and output alive, the
+        # peak is 3.25 times the raw lattice's own size; trimming through
+        # state-id sets and keeping minimize's pushed rows and signature
+        # table next to its result made it 4.55 times.
+        tracemalloc.start()
+        try:
+            raw = sausage_lattice(4000, seed=13)
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            prepare(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * size
 
 
 class TestValidation:
