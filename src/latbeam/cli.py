@@ -37,7 +37,7 @@ from .baselines import (
 )
 from .bleu import corpus_bleu, tune_grid
 from .decoder import DecoderConfig, decode
-from .errors import LatbeamError
+from .errors import LatbeamError, UnknownSymbolError
 from .posterior import STAGES, PosteriorLattice, prepare
 from .scorers import (MAX_ORDER, UniformScorer, load_ngram_model, load_table_scorer,
                       train_ngram)
@@ -285,7 +285,10 @@ def _read_nbest_file(path, symbols) -> list[NBestList]:
                 logprob = math.nan
             if not math.isfinite(logprob):
                 raise LatbeamError(f"{path}: line {lineno}: bad logprob {lp_text!r}")
-            tokens = tuple(symbols.id_of(t) for t in text.split())
+            try:
+                tokens = tuple(map(symbols.id_of, text.split()))
+            except UnknownSymbolError as exc:
+                raise LatbeamError(f"{path}: line {lineno}: {exc}") from None
             groups.setdefault(ident, []).append((tokens, logprob))
     lists = []
     for ident, entries in sorted(groups.items()):

@@ -11,26 +11,26 @@ log-probabilities. Arcs are Arc NamedTuples that unpack as
 (label, weight, dst); the loops here unpack them rather than read
 attributes. Each stage writes its output arcs once, straight into the
 arc lists, and skips work its input does not need: rm_epsilon builds
-no closure for epsilon-free input, where it only merges parallel arcs,
-and trims without a copy when it drops nothing; determinize only
-renumbers the accessible states in BFS order when its input is already
-deterministic (with finite arc weights); and connect returns a copy
-with the same numbering when it drops nothing. determinize, minimize
-and push_log are checked wrappers around private cores; prepare()
-checks its input once and chains the cores, handing each the
-topological order the stage before it already knows. It runs epsilon
-removal without the trim and then trims along that order (_trim), which
-marks live states with no reverse adjacency list and no state-id sets;
-minimize trims the same way. minimize, push_log
-and n_shortest_strings share one shortest-distance pass (_potentials),
-differing only in the semiring plus they hand it.
+no closure for epsilon-free input, where it only merges parallel arcs;
+determinize only renumbers the accessible states in BFS order when its
+input is already deterministic (with finite arc weights); and the trim
+returns its input when it drops nothing. There is one trim (_connect),
+shared by connect, rm_epsilon (on its output), minimize (on its input)
+and so prepare(): it marks accessible and coaccessible states in
+bytearrays, which works on cyclic input, and renumbers the kept states
+in ascending order. determinize, minimize and push_log are checked
+wrappers around private cores; prepare() checks its input once and
+chains the cores, handing each the topological order the stage before
+it already knows. minimize, push_log and n_shortest_strings share one
+shortest-distance pass (_potentials), differing only in the semiring
+plus they hand it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush, heappushpop
-from itertools import count
+from itertools import compress, count
 
 from . import semiring
 from .errors import (
@@ -82,45 +82,15 @@ def connect(w: Wfsa) -> Wfsa:
 
 
 def _connect(w: Wfsa) -> Wfsa:
-    """connect, but w itself when every state survives."""
-    keep = _accessible(w) & _coaccessible(w)
+    """connect, but w itself when every state survives. The kept states
+    are renumbered densely in ascending order of their ids."""
+    accessible, coaccessible = _accessible(w), _coaccessible(w)
+    keep = [q for q in range(w.num_states) if accessible[q] and coaccessible[q]]
     if len(keep) == w.num_states:
         return w
-    keep.add(w.start)
-    return _restrict(w, sorted(keep))[0]
-
-
-def _trim(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
-    """_connect for an acyclic w with its topological order given, also
-    returning the result's order (the given one, renumbered). Live
-    states are marked along the order, accessible ones forward, then
-    backward those that reach a final state: no reverse adjacency list
-    and no state-id sets."""
-    n = w.num_states
-    arcs, finals = w.arcs, w.finals
-    live = bytearray(n)
-    if n:
-        live[w.start] = 1
-    for q in order:
-        if live[q]:
-            for _, _, dst in arcs[q]:
-                live[dst] = 1
-    # the successors of an accessible state are accessible, so an
-    # accessible state stays marked when it is final or a successor is
-    for q in reversed(order):
-        if live[q] and q not in finals and not any(live[dst] for _, _, dst in arcs[q]):
-            live[q] = 0
-    if live.count(1) == n:
-        return w, order
-    live[w.start] = 1
-    out, renum = _restrict(w, [q for q in range(n) if live[q]])
-    return out, [renum[q] for q in order if live[q]]
-
-
-def _restrict(w: Wfsa, keep: list[int]) -> tuple[Wfsa, list[int]]:
-    """The sub-automaton on the ascending state ids keep, the start among
-    them, renumbered densely in that order; also the renumbering, with
-    -1 for a dropped state."""
+    # a coaccessible start keeps itself; otherwise no state is kept, the
+    # language is empty and the start stays alone
+    keep = keep or [w.start]
     renum = [-1] * w.num_states
     for new, old in enumerate(keep):
         renum[old] = new
@@ -130,7 +100,7 @@ def _restrict(w: Wfsa, keep: list[int]) -> tuple[Wfsa, list[int]]:
                  for label, weight, dst in w.arcs[old] if renum[dst] >= 0]
                 for old in keep]
     out.finals = {renum[q]: f for q, f in w.finals.items() if renum[q] >= 0}
-    return out, renum
+    return out
 
 
 def rm_epsilon(w: Wfsa) -> Wfsa:
@@ -141,11 +111,6 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
     same-label arcs the rewrite creates. Epsilon cycles are rejected.
     The result is trimmed.
     """
-    return _connect(_rm_epsilon(w))
-
-
-def _rm_epsilon(w: Wfsa) -> Wfsa:
-    """rm_epsilon without its trim: the result keeps w's state numbering."""
     plus = semiring.plus_for(w.semiring)
     arcs, finals = w.arcs, w.finals
     # closure[q]: total epsilon cost from q to every state it can reach
@@ -193,7 +158,7 @@ def _rm_epsilon(w: Wfsa) -> Wfsa:
                 final = plus(final, cost + f)
         if final != INF:
             out.finals[src] = final
-    return out
+    return _connect(out)
 
 
 def determinize(w: Wfsa) -> Wfsa:
@@ -320,9 +285,12 @@ def minimize(w: Wfsa) -> Wfsa:
     """
     if not w.is_deterministic():
         raise NotDeterministicError("minimize requires a deterministic lattice")
-    trimmed, order = _trim(w, _require_acyclic(w, "minimize"))
+    order = _require_acyclic(w, "minimize")
+    trimmed = _connect(w)
     if not trimmed.finals:
         return trimmed.copy()
+    if trimmed is not w:
+        order = topological_order(trimmed)
     return _minimize(trimmed, order)[0]
 
 
@@ -421,19 +389,13 @@ def check_stochastic(w: Wfsa, tol: float = STOCHASTIC_TOL) -> bool:
     state's final weight; stochastic means that total is 0 (= log 1).
     """
     log_add, arcs, finals = semiring.log_add, w.arcs, w.finals
-    for q in _accessible(w):
+    for q in compress(range(w.num_states), _accessible(w)):
         total = finals.get(q, INF)
         for _, weight, _ in arcs[q]:
             total = log_add(total, weight)
         if not abs(total) <= tol:
             return False
     return True
-
-
-
-
-
-
 
 
 def n_shortest_strings(w: Wfsa, n: int) -> list[tuple[tuple[int, ...], float]]:

@@ -165,17 +165,17 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
 
     The result equals push_log(minimize(determinize(rm_epsilon(raw)))) on
     the log-retagged input, but the input is checked once: one topological
-    order after epsilon removal, and each later stage is handed what the
-    stage before it established (epsilon-free, deterministic, trimmed,
-    and its output's topological order). The PosteriorLattice
-    still verifies the result in full.
+    order after epsilon removal, which trims its output, and each later
+    stage is handed what the stage before it established (epsilon-free,
+    deterministic, trimmed, and its output's topological order). A cycle
+    among the states the trim drops is therefore no error. The
+    PosteriorLattice still verifies the result in full.
 
-    At most one stage's input and output are alive at a time: raw is
-    let go once its retagged copy exists (on CPython 3.11 and later it
-    is freed after epsilon removal unless the caller keeps it), and the
-    minimized automaton before verification. The trim marks live states
-    along the topological order; when that sort fails, a cycle may lie
-    among the states the trim drops, so connect's walk trims instead.
+    At most one stage's input and output are alive at a time, except
+    that epsilon removal trims its output before its input is let go:
+    raw is let go once its retagged copy exists (on CPython 3.11 and
+    later it is freed after epsilon removal unless the caller keeps it),
+    and the minimized automaton before verification.
 
     When stages is given, the wall-clock seconds of each of STAGES are
     added to it (epsilon removal is billed to determinization), so one
@@ -186,17 +186,10 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     work = raw.retagged(semiring.LOG)
     del raw
     t0 = time.perf_counter()
-    work = ops._rm_epsilon(work)
-    order = topological_order(work)
-    if order is None:
-        work = ops._connect(work)
-    else:
-        work, order = ops._trim(work, order)
+    work = ops.rm_epsilon(work)
     if not work.finals:
         raise EmptyLatticeError("lattice accepts nothing")
-    if order is None:
-        order = ops._require_acyclic(work, "determinize")
-    work, order = ops._determinize(work, order)
+    work, order = ops._determinize(work, ops._require_acyclic(work, "determinize"))
     t1 = time.perf_counter()
     work, order = ops._minimize(work, order)
     t2 = time.perf_counter()

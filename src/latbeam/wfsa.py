@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from . import semiring
@@ -296,61 +297,54 @@ def serialize_wfsa(w: Wfsa, symbols: SymbolTable) -> str:
     """Render a lattice in the text format, initial state first.
 
     Arc blocks come out grouped by source state with the initial state's
-    block first; final lines follow in state order. Serializing the same
+    block first; final lines follow in state order. An initial state
+    with no arcs leads with its final line instead. Serializing the same
     automaton twice yields identical bytes.
     """
     lines: list[str] = []
-    sym_of = symbols.sym_of
-
-    def arc_block(state: int):
+    sym_of, start, finals, n = symbols.sym_of, w.start, w.finals, w.num_states
+    lead = start in finals and not w.arcs[start]
+    if lead:
+        lines.append(f"{start} {_format_weight(finals[start])}")
+    for state in chain((start,), range(start), range(start + 1, n)) if n else ():
         for label, weight, dst in w.arcs[state]:
             lines.append(f"{state} {dst} {sym_of(label)} {_format_weight(weight)}")
-
-    if w.num_states:
-        if not w.arcs_from(w.start) and w.start in w.finals:
-            # keep the initial state on the first line even without arcs
-            lines.append(f"{w.start} {_format_weight(w.finals[w.start])}")
-            for state in range(w.num_states):
-                arc_block(state)
-            for state in sorted(w.finals):
-                if state != w.start:
-                    lines.append(f"{state} {_format_weight(w.finals[state])}")
-            return "\n".join(lines) + "\n" if lines else ""
-        arc_block(w.start)
-        for state in range(w.num_states):
-            if state != w.start:
-                arc_block(state)
-    for state in sorted(w.finals):
-        lines.append(f"{state} {_format_weight(w.finals[state])}")
+    for state in sorted(finals):
+        if not (lead and state == start):
+            lines.append(f"{state} {_format_weight(finals[state])}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _accessible(w: Wfsa) -> set[int]:
+def _accessible(w: Wfsa) -> bytearray:
+    """Marks, one byte per state: 1 for the states the start reaches."""
+    seen = bytearray(w.num_states)
     if not w.num_states:
-        return set()
-    seen = {w.start}
+        return seen
+    seen[w.start] = 1
     stack = [w.start]
     while stack:
-        state = stack.pop()
-        for _, _, dst in w.arcs[state]:
-            if dst not in seen:
-                seen.add(dst)
+        for _, _, dst in w.arcs[stack.pop()]:
+            if not seen[dst]:
+                seen[dst] = 1
                 stack.append(dst)
     return seen
 
 
-def _coaccessible(w: Wfsa) -> set[int]:
+def _coaccessible(w: Wfsa) -> bytearray:
+    """Marks, one byte per state: 1 for the states that reach a final
+    state. The walk follows reverse arc lists, so cycles are fine."""
     rev: list[list[int]] = [[] for _ in range(w.num_states)]
     for src, arcs in enumerate(w.arcs):
         for _, _, dst in arcs:
             rev[dst].append(src)
-    seen = set(w.finals)
+    seen = bytearray(w.num_states)
+    for q in w.finals:
+        seen[q] = 1
     stack = list(w.finals)
     while stack:
-        state = stack.pop()
-        for src in rev[state]:
-            if src not in seen:
-                seen.add(src)
+        for src in rev[stack.pop()]:
+            if not seen[src]:
+                seen[src] = 1
                 stack.append(src)
     return seen
 
@@ -404,11 +398,11 @@ def validate(w: Wfsa) -> ValidationReport:
         n_states=n_states,
         n_arcs=n_arcs,
         n_finals=len(w.finals),
-        n_accessible=len(accessible),
-        n_coaccessible=len(coaccessible),
+        n_accessible=accessible.count(1),
+        n_coaccessible=coaccessible.count(1),
         is_acyclic=topological_order(w) is not None,
         has_epsilon=w.has_epsilon(),
         is_deterministic=w.is_deterministic(),
-        is_empty=not any(q in accessible for q in w.finals),
+        is_empty=not any(accessible[q] for q in w.finals),
         arcs_per_state=(n_arcs / n_states) if n_states else 0.0,
     )

@@ -727,8 +727,8 @@ class TestScorerVocabulary:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert "unknown symbol 'zz01'" in line
-        if command != "rescore":
-            assert line.startswith("000: ")
+        where = {"rescore": f"latbeam: {oov / 'hyps.nbest'}: line 1: "}
+        assert line.startswith(where.get(command, "000: "))
 
 
 

@@ -72,7 +72,34 @@ def assert_topological(w: Wfsa, order: list[int]) -> None:
     assert all(pos[q] < pos[a.dst] for q in range(w.num_states) for a in w.arcs[q])
 
 
+def dropped_cycles() -> Wfsa:
+    """A live cycle 2 -> 4 -> 2 on the way from 0 to the final state 6,
+    an unreachable cycle 1 <-> 5 into 6 and a dead cycle 3 <-> 7 off 2."""
+    w = Wfsa()
+    w.add_arc(0, A, 0.1, 2)
+    w.add_arc(2, B, 0.2, 4)
+    w.add_arc(4, C, 0.3, 2)
+    w.add_arc(4, D, 0.4, 6)
+    w.set_final(6, 0.5)
+    w.add_arc(1, A, 0.1, 5)
+    w.add_arc(5, B, 0.1, 1)
+    w.add_arc(5, C, 0.1, 6)
+    w.add_arc(2, C, 0.1, 3)
+    w.add_arc(3, A, 0.1, 7)
+    w.add_arc(7, B, 0.1, 3)
+    return w
+
+
 class TestConnect:
+    @pytest.mark.parametrize("op", [connect, rm_epsilon])
+    def test_keeps_live_cycle_and_drops_dead_and_unreachable_ones(self, op):
+        # states 0, 2, 4 and 6 survive as 0, 1, 2 and 3
+        out = op(dropped_cycles())
+        assert out.start == 0
+        assert out.arcs == [[Arc(A, 0.1, 1)], [Arc(B, 0.2, 2)],
+                            [Arc(C, 0.3, 1), Arc(D, 0.4, 3)], []]
+        assert out.finals == {3: 0.5}
+
     def test_drops_dead_states(self):
         w = Wfsa()
         w.add_arc(0, A, 0.5, 1)
@@ -371,6 +398,16 @@ class TestMinimize:
         assert out is not w
         assert (out.num_states, out.arcs, out.finals) == (1, [[]], {})
 
+    @pytest.mark.parametrize("states", ["dead", "unreachable"])
+    def test_rejects_cycle_among_states_the_trim_drops(self, states):
+        w = l1()
+        if states == "dead":
+            w.add_arc(1, D, 0.1, 4)
+        w.add_arc(4, A, 0.1, 5)
+        w.add_arc(5, B, 0.1, 4)
+        with pytest.raises(CyclicLatticeError):
+            minimize(w)
+
     def test_random_lattices_language_preserved(self):
         rng = random.Random(29)
         for _ in range(40):
@@ -469,6 +506,15 @@ class TestCheckStochastic:
         mass = math.exp(-0.7) + math.exp(-1.6)
         assert mass == pytest.approx(0.6985, abs=1e-4)
         assert not check_stochastic(l1())
+
+    def test_ignores_unreachable_states(self):
+        w = Wfsa()
+        w.add_arc(0, A, 0.0, 1)
+        w.set_final(1)
+        w.add_arc(2, A, 5.0, 1)     # unreachable, with mass e^-5
+        assert check_stochastic(w)
+        w.start = 2
+        assert not check_stochastic(w)
 
     def test_tolerance_is_respected(self):
         w = Wfsa()

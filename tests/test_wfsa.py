@@ -204,6 +204,22 @@ class TestSerializeWfsa:
         assert back.start == 0
         assert back.final_weight(0) == 0.5
 
+    @pytest.mark.parametrize("start_arcs", [True, False])
+    def test_initial_state_leads(self, abc, start_arcs):
+        # arcs out of the start come first; a start with none leads
+        # with its final line
+        w = Wfsa()
+        w.add_arc(0, 1, 0.5, 1)
+        w.set_final(1)
+        w.set_final(2, 0.25)
+        w.start = 2
+        if start_arcs:
+            w.add_arc(2, 2, 1.5, 0)
+            want = "2 0 b 1.5\n0 1 a 0.5\n1 0\n2 0.25\n"
+        else:
+            want = "2 0.25\n0 1 a 0.5\n1 0\n"
+        assert serialize_wfsa(w, abc) == want
+
     def test_weights_keep_12_significant_digits(self, abc):
         w = Wfsa()
         w.add_arc(0, 1, 0.123456789012345, 1)
@@ -250,6 +266,25 @@ class TestStructure:
         assert not report.has_epsilon
         assert not report.is_empty
         assert report.arcs_per_state == pytest.approx(0.75)
+
+    def test_validate_counts_around_dropped_cycles(self):
+        # dead cycle 0 <-> 1 at the start; unreachable cycle 2 <-> 3
+        # into the final state 4
+        w = Wfsa()
+        w.add_arc(0, 1, 0.0, 1)
+        w.add_arc(1, 1, 0.0, 0)
+        w.add_arc(2, 1, 0.0, 3)
+        w.add_arc(3, 1, 0.0, 2)
+        w.add_arc(3, 2, 0.0, 4)
+        w.set_final(4)
+        report = validate(w)
+        assert (report.n_accessible, report.n_coaccessible) == (2, 3)
+        assert report.is_empty and not report.is_acyclic
+        # a live cycle 0 -> 1 -> 0 and an arc on to 2 make it non-empty
+        w.add_arc(1, 2, 0.0, 4)
+        report = validate(w)
+        assert (report.n_accessible, report.n_coaccessible) == (3, 5)
+        assert not report.is_empty
 
     def test_validate_flags_dead_state(self, abc):
         w = parse_wfsa(FOUR_STATE, abc)
