@@ -46,7 +46,7 @@ from .wfsa import (
     SymbolTable,
     parse_symbols,
     parse_wfsa,
-    serialize_wfsa,
+    _text_lines,
     validate,
 )
 from . import semiring
@@ -185,8 +185,9 @@ def _push_file(path: Path, symbols: SymbolTable, outdir: Path) -> dict[str, floa
     # epsilon removal (on CPython 3.11 and later)
     lattice = prepare(parse_wfsa(_read_text(path), symbols), stages=timings)
     out = outdir / path.name
-    with _file_errors(out):
-        out.write_text(serialize_wfsa(lattice.inner, symbols), encoding="utf-8")
+    # the text of serialize_wfsa, written as it is made
+    with _file_errors(out), open(out, "w", encoding="utf-8") as stream:
+        stream.writelines(_text_lines(lattice.inner, symbols))
     return timings
 
 

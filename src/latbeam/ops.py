@@ -1,6 +1,17 @@
 """Algorithms over acyclic weighted acceptors.
 
-Everything here treats its input as read-only and returns a new Wfsa.
+Ownership: no public function here changes its argument; each returns a
+new Wfsa, which may share the argument's Arc objects (Arcs are
+immutable). The private cores _minimize and _push_log rewrite every
+weight and consume their input instead: once it has read a row for the
+last time, _push_log empties it, and so does _minimize for each row its
+result is built from. prepare() owns its intermediates and hands them
+over; minimize and push_log hand the cores a copy with a list of rows
+of its own (_shallow). rm_epsilon and determinize's fast path put the
+input's own Arc into their output wherever it comes out unchanged:
+same label and dst, and 0.0 + weight with the same bits, which holds
+for every weight but -0.0.
+
 The operations compose into the standard preprocessing pipeline
 
     rm_epsilon -> determinize -> minimize -> push_log
@@ -31,6 +42,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush, heappushpop
 from itertools import compress, count
+from math import copysign
 
 from . import semiring
 from .errors import (
@@ -68,6 +80,16 @@ def _potentials(w: Wfsa, order: list[int], plus) -> list[float]:
             acc = plus(acc, weight + potential[dst])
         potential[q] = acc
     return potential
+
+
+def _shallow(w: Wfsa) -> Wfsa:
+    """w with a list of rows of its own, for a core that empties the
+    rows it has read; rows, arcs and final weights stay shared."""
+    out = Wfsa(w.semiring)
+    out.start = w.start
+    out.arcs = list(w.arcs)
+    out.finals = w.finals
+    return out
 
 
 def connect(w: Wfsa) -> Wfsa:
@@ -139,18 +161,29 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
     out.start = w.start
     for src in range(w.num_states):
         reach = sorted(closure[src].items()) if closure[src] else ()
-        # INF is the identity of both additions, so the first arc of a
-        # (label, dst) keeps its cost and only a parallel duplicate adds
-        merged: dict[tuple[int, int], float] = {}
-        for via, cost in ((src, semiring.ONE), *reach):
+        # the output arc of each (label, dst). INF is the identity of both
+        # additions, so the first arc of a key keeps its cost and only a
+        # parallel duplicate adds. A direct arc's cost is 0.0 + weight,
+        # the input arc's own weight except for -0.0, so the input Arc
+        # itself goes out unless a duplicate merges into it.
+        merged: dict[tuple[int, int], Arc] = {}
+        for arc in arcs[src]:
+            label, weight, dst = arc
+            key = (label, dst)
+            if key in merged:
+                merged[key] = _new(Arc, (label, plus(merged[key][1], 0.0 + weight), dst))
+            elif weight or copysign(1.0, weight) > 0.0:
+                merged[key] = arc
+            else:
+                merged[key] = _new(Arc, (label, 0.0 + weight, dst))
+        for via, cost in reach:
             for label, weight, dst in arcs[via]:
                 key = (label, dst)
                 if key in merged:
-                    merged[key] = plus(merged[key], cost + weight)
+                    merged[key] = _new(Arc, (label, plus(merged[key][1], cost + weight), dst))
                 else:
-                    merged[key] = cost + weight
-        out.arcs[src] = [_new(Arc, (label, weight, dst))
-                         for (label, dst), weight in sorted(merged.items())]
+                    merged[key] = _new(Arc, (label, cost + weight, dst))
+        out.arcs[src] = [merged[key] for key in sorted(merged)]
         final = finals.get(src, INF)
         for via, cost in reach:
             f = finals.get(via, INF)
@@ -200,7 +233,8 @@ def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
     for q in visit:
         row = []
         prev = EPS
-        for label, weight, dst in sorted(arcs[q]):
+        for arc in sorted(arcs[q]):
+            label, weight, dst = arc
             if label == prev or not -INF < weight < INF:
                 return _subsets(w, order)
             prev = label
@@ -209,8 +243,12 @@ def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
                 nid = renum[dst] = len(visit)
                 visit.append(dst)
             # INF is the identity of both additions, so the subset
-            # construction's plus(INF, 0.0 + weight) is 0.0 + weight
-            row.append(_new(Arc, (label, 0.0 + weight, nid)))
+            # construction's plus(INF, 0.0 + weight) is 0.0 + weight: the
+            # input arc itself when it keeps its dst and is not -0.0
+            if nid == dst and (weight or copysign(1.0, weight) > 0.0):
+                row.append(arc)
+            else:
+                row.append(_new(Arc, (label, 0.0 + weight, nid)))
         out.arcs.append(row)
     for q, f in finals.items():
         if renum[q] >= 0 and f != INF:
@@ -289,7 +327,9 @@ def minimize(w: Wfsa) -> Wfsa:
     trimmed = _connect(w)
     if not trimmed.finals:
         return trimmed.copy()
-    if trimmed is not w:
+    if trimmed is w:
+        trimmed = _shallow(w)
+    else:
         order = topological_order(trimmed)
     return _minimize(trimmed, order)[0]
 
@@ -300,7 +340,8 @@ def _minimize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
     order. Each pushed weight is computed where it is used, to class a
     state and again for a state the result keeps, with the same
     expression and so the same bits; the signature table is dropped
-    before the result is built."""
+    before the result is built. w is consumed: the row of each state
+    the result keeps is emptied once it is read."""
     potential = _potentials(w, order, semiring.plus_for(w.semiring))
     arcs, start, fold = w.arcs, w.start, potential[w.start]
     finals = {q: f - potential[q] for q, f in w.finals.items()}
@@ -309,16 +350,18 @@ def _minimize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
 
     # a state is classed after its successors, so a new class id exceeds
     # the ids of every class it has an arc to; arcs are sorted by label,
-    # which is unique per state
+    # which is unique per state. A signature is one flat tuple,
+    # (final, label, weight, class, label, weight, class, ...).
     klass = [0] * w.num_states
     by_signature: dict[tuple, int] = {}
     for q in reversed(order):
         p = potential[q]
-        row = tuple([(label, weight + potential[dst] - p, klass[dst])
-                     for label, weight, dst in sorted(arcs[q])])
+        signature = [finals.get(q, INF)]
+        for label, weight, dst in sorted(arcs[q]):
+            signature += label, weight + potential[dst] - p, klass[dst]
         if q == start:
-            row = tuple([(label, weight + fold, c) for label, weight, c in row])
-        klass[q] = by_signature.setdefault((finals.get(q, INF), row), len(by_signature))
+            signature[2::3] = [weight + fold for weight in signature[2::3]]
+        klass[q] = by_signature.setdefault(tuple(signature), len(by_signature))
     n_classes = len(by_signature)
     del by_signature
 
@@ -347,6 +390,7 @@ def _minimize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
                 out_arcs.append([])
                 queue.append(dst)
             row.append(_new(Arc, (label, weight, nid)))
+        arcs[rep] = ()
     # descending class ids are a topological order of the classes
     return out, [nid for nid in reversed(renum) if nid >= 0]
 
@@ -363,11 +407,12 @@ def push_log(w: Wfsa) -> tuple[Wfsa, float]:
     Every state must reach a final state, otherwise its potential is
     infinite and the rewrite is undefined.
     """
-    return _push_log(w, _require_acyclic(w, "push_log"))
+    return _push_log(_shallow(w), _require_acyclic(w, "push_log"))
 
 
 def _push_log(w: Wfsa, order: list[int]) -> tuple[Wfsa, float]:
-    """push_log without its acyclicity check, for the topological order given."""
+    """push_log without its acyclicity check, for the topological order
+    given. w is consumed: each row is emptied once it is rewritten."""
     potential = _potentials(w, order, semiring.log_add)
     if INF in potential:
         raise NotCoaccessibleError(
@@ -375,9 +420,11 @@ def _push_log(w: Wfsa, order: list[int]) -> tuple[Wfsa, float]:
     # potentials move onto arcs: w + p[dst] - p[src], finals f - p[q]
     out = Wfsa(semiring.LOG)
     out.start = w.start
-    out.arcs = [[_new(Arc, (label, weight + potential[dst] - p, dst))
-                 for label, weight, dst in arcs]
-                for arcs, p in zip(w.arcs, potential)]
+    rows = w.arcs
+    for q, p in enumerate(potential):
+        out.arcs.append([_new(Arc, (label, weight + potential[dst] - p, dst))
+                         for label, weight, dst in rows[q]])
+        rows[q] = ()
     out.finals = {q: f - potential[q] for q, f in w.finals.items()}
     return out, potential[w.start] if w.num_states else 0.0
 

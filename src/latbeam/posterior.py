@@ -171,11 +171,14 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     among the states the trim drops is therefore no error. The
     PosteriorLattice still verifies the result in full.
 
-    At most one stage's input and output are alive at a time, except
-    that epsilon removal trims its output before its input is let go:
-    raw is let go once its retagged copy exists (on CPython 3.11 and
-    later it is freed after epsilon removal unless the caller keeps it),
-    and the minimized automaton before verification.
+    About one automaton's arcs are alive at a time. raw is let go once
+    its retagged copy exists (on CPython 3.11 and later it is freed
+    after epsilon removal unless the caller keeps it). Epsilon removal
+    and determinize's fast path put every arc that comes out unchanged
+    into their output as it is, so an output shares most of its input's
+    arcs. Minimize and push rewrite every weight; each empties the rows
+    of its input as it builds its output, and nothing of the minimized
+    automaton is left when verification starts.
 
     When stages is given, the wall-clock seconds of each of STAGES are
     added to it (epsilon removal is billed to determinization), so one

@@ -16,8 +16,9 @@ Symbol table format: one ``token id`` pair per line, same comment rules.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from . import semiring
@@ -138,8 +139,9 @@ _new = tuple.__new__
 class Wfsa:
     """Acceptor over a tropical or log cost semiring.
 
-    Built by mutation (add_arc / set_final), treated as read-only by every
-    algorithm in latbeam.ops, which all return fresh automata.
+    Built by mutation (add_arc / set_final). No public algorithm in
+    latbeam.ops changes its argument; each returns a fresh automaton,
+    which may share the argument's (immutable) Arc objects.
     """
 
     __slots__ = ("semiring", "start", "arcs", "finals")
@@ -233,6 +235,22 @@ def _parse_state(text: str, lineno: int) -> int:
     return value
 
 
+# parse_wfsa splits its text a piece at a time, each cut just after a
+# newline, so it never holds the lines of the whole text at once
+_PIECE = 1 << 16
+
+
+def _pieces(text: str):
+    """text in consecutive pieces of about _PIECE characters, each but
+    the last ending in a newline. A newline ends a line whatever comes
+    before it, so the lines of the pieces are those of the whole text."""
+    pos, n = 0, len(text)
+    while pos < n:
+        end = text.find("\n", pos + _PIECE) + 1 or n
+        yield text[pos:end]
+        pos = end
+
+
 def parse_wfsa(text: str, symbols: SymbolTable,
                semiring_tag: str = semiring.TROPICAL) -> Wfsa:
     """Parse lattice text. See the module docstring for the format.
@@ -244,46 +262,53 @@ def parse_wfsa(text: str, symbols: SymbolTable,
     """
     w = Wfsa(semiring_tag)
     arcs = w.arcs
+    # ids[q] is q, so every arc into q holds one int object. ids grows
+    # only with the arc lists (final states are added once, at the end),
+    # and then by an eighth plus 64, so a short lattice extends it once.
+    ids: list[int] = []
     # a closed table is a plain dict lookup; an open one grows as we go
     closed_ids = symbols._by_sym if symbols.closed else None
     saw_record = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        fields = line.split()
-        if not fields:
-            continue
-        n_fields = len(fields)
-        if n_fields <= 2:
-            state = _parse_state(fields[0], lineno)
-            weight = _parse_weight(fields[1], lineno) if n_fields == 2 else 0.0
-            if state >= len(arcs):
-                w.ensure_state(state)
-            w.finals[state] = weight
-        elif n_fields <= 4:
-            src = _parse_state(fields[0], lineno)
-            dst = _parse_state(fields[1], lineno)
-            if closed_ids is None:
-                label = symbols.add(fields[2])
+    lineno = 0
+    for piece in _pieces(text):
+        for lineno, line in enumerate(piece.splitlines(), start=lineno + 1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            fields = line.split()
+            if not fields:
+                continue
+            n_fields = len(fields)
+            if n_fields <= 2:
+                state = _parse_state(fields[0], lineno)
+                weight = _parse_weight(fields[1], lineno) if n_fields == 2 else 0.0
+                w.finals[state] = weight
+            elif n_fields <= 4:
+                src = _parse_state(fields[0], lineno)
+                dst = _parse_state(fields[1], lineno)
+                if closed_ids is None:
+                    label = symbols.add(fields[2])
+                else:
+                    label = closed_ids.get(fields[2])
+                    if label is None:
+                        raise UnknownSymbolError(
+                            f"unknown symbol {fields[2]!r}", line=lineno)
+                weight = _parse_weight(fields[3], lineno) if n_fields == 4 else 0.0
+                top = src if src > dst else dst
+                if top >= len(arcs):
+                    w.ensure_state(top)
+                    if top >= len(ids):
+                        ids.extend(range(len(ids), top + 64 + (top >> 3)))
+                arcs[src].append(_new(Arc, (label, weight, ids[dst])))
             else:
-                label = closed_ids.get(fields[2])
-                if label is None:
-                    raise UnknownSymbolError(
-                        f"unknown symbol {fields[2]!r}", line=lineno)
-            weight = _parse_weight(fields[3], lineno) if n_fields == 4 else 0.0
-            top = src if src > dst else dst
-            if top >= len(arcs):
-                w.ensure_state(top)
-            arcs[src].append(_new(Arc, (label, weight, dst)))
-        else:
-            raise LatticeFormatError("expected 1, 2, 3 or 4 fields", line=lineno)
-        if not saw_record:
-            w.start = _parse_state(fields[0], lineno)
-            saw_record = True
+                raise LatticeFormatError("expected 1, 2, 3 or 4 fields", line=lineno)
+            if not saw_record:
+                w.start = _parse_state(fields[0], lineno)
+                saw_record = True
     if not saw_record:
         raise LatticeFormatError("no records in lattice text")
     if not w.finals:
         raise LatticeFormatError("no final state")
+    w.ensure_state(max(w.finals))
     return w
 
 
@@ -301,18 +326,22 @@ def serialize_wfsa(w: Wfsa, symbols: SymbolTable) -> str:
     with no arcs leads with its final line instead. Serializing the same
     automaton twice yields identical bytes.
     """
-    lines: list[str] = []
+    return "".join(_text_lines(w, symbols))
+
+
+def _text_lines(w: Wfsa, symbols: SymbolTable):
+    """The lines of serialize_wfsa's text, each with its newline, one at
+    a time, so a writer need not hold the whole text."""
     sym_of, start, finals, n = symbols.sym_of, w.start, w.finals, w.num_states
     lead = start in finals and not w.arcs[start]
     if lead:
-        lines.append(f"{start} {_format_weight(finals[start])}")
+        yield f"{start} {_format_weight(finals[start])}\n"
     for state in chain((start,), range(start), range(start + 1, n)) if n else ():
         for label, weight, dst in w.arcs[state]:
-            lines.append(f"{state} {dst} {sym_of(label)} {_format_weight(weight)}")
+            yield f"{state} {dst} {sym_of(label)} {_format_weight(weight)}\n"
     for state in sorted(finals):
         if not (lead and state == start):
-            lines.append(f"{state} {_format_weight(finals[state])}")
-    return "\n".join(lines) + "\n" if lines else ""
+            yield f"{state} {_format_weight(finals[state])}\n"
 
 
 def _accessible(w: Wfsa) -> bytearray:
@@ -332,17 +361,30 @@ def _accessible(w: Wfsa) -> bytearray:
 
 def _coaccessible(w: Wfsa) -> bytearray:
     """Marks, one byte per state: 1 for the states that reach a final
-    state. The walk follows reverse arc lists, so cycles are fine."""
-    rev: list[list[int]] = [[] for _ in range(w.num_states)]
-    for src, arcs in enumerate(w.arcs):
+    state. The walk follows reverse arcs, so cycles are fine. They are
+    kept in two flat arrays: the sources of the arcs into q are
+    sources[first[q]:first[q + 1]]."""
+    n = w.num_states
+    counts = [0] * (n + 1)
+    for arcs in w.arcs:
         for _, _, dst in arcs:
-            rev[dst].append(src)
-    seen = bytearray(w.num_states)
+            counts[dst] += 1
+    first = array("l", accumulate(counts))     # for now, where q's sources end
+    del counts
+    sources = array("l", [0]) * first[n]
+    # filled back to front, so first[q] comes down to where they begin
+    for src in range(n - 1, -1, -1):
+        for _, _, dst in w.arcs[src]:
+            at = first[dst] - 1
+            first[dst] = at
+            sources[at] = src
+    seen = bytearray(n)
     for q in w.finals:
         seen[q] = 1
     stack = list(w.finals)
     while stack:
-        for src in rev[stack.pop()]:
+        q = stack.pop()
+        for src in sources[first[q]:first[q + 1]]:
             if not seen[src]:
                 seen[src] = 1
                 stack.append(src)

@@ -681,3 +681,111 @@ class TestEquivalence:
             out = minimize(determinize(rm_epsilon(w)))
             assert equivalent_acyclic(w, out, tol=1e-9)
 
+
+
+def snapshot(w: Wfsa):
+    """start, finals and each row with a copy of its contents."""
+    return w.start, dict(w.finals), [(row, list(row)) for row in w.arcs]
+
+
+def assert_unchanged(w: Wfsa, snap) -> None:
+    start, finals, rows = snap
+    assert w.start == start
+    assert w.finals == finals
+    assert len(w.arcs) == len(rows)
+    for row, (was, contents) in zip(w.arcs, rows):
+        assert row is was
+        assert row == contents
+
+
+def with_dead_state() -> Wfsa:
+    """l1 with an arc into state 4, which reaches no final state."""
+    w = l1()
+    w.add_arc(1, D, 0.5, 4)
+    return w
+
+
+class TestOwnership:
+    """No public operation changes its argument: the cores that empty
+    rows get a copy, and prepare's intermediates are its own."""
+
+    def test_rm_epsilon(self):
+        for w in (l1(), dropped_cycles(), random_acyclic_wfsa(random.Random(3), max_states=20, eps_fraction=0.3)):
+            snap = snapshot(w)
+            rm_epsilon(w)
+            assert_unchanged(w, snap)
+
+    def test_determinize_on_both_paths(self, monkeypatch):
+        subsets = []
+        monkeypatch.setattr(ops, "_subsets", lambda *a: subsets.append(1) or _subsets(*a))
+        fast = l1()
+        snap = snapshot(fast)
+        determinize(fast)
+        assert_unchanged(fast, snap)
+        assert not subsets
+        nondeterministic = Wfsa()
+        nondeterministic.add_arc(0, A, 0.5, 1)
+        nondeterministic.add_arc(0, A, 0.9, 2)
+        nondeterministic.add_arc(2, B, 0.1, 1)
+        nondeterministic.set_final(1)
+        snap = snapshot(nondeterministic)
+        determinize(nondeterministic)
+        assert_unchanged(nondeterministic, snap)
+        assert subsets
+
+    @pytest.mark.parametrize("make", [l1, with_dead_state])
+    def test_minimize_whether_or_not_the_trim_drops_states(self, make):
+        w = make()
+        snap = snapshot(w)
+        out = minimize(w)
+        assert_unchanged(w, snap)
+        assert out.num_states == 3
+
+    def test_push_log_and_connect(self):
+        for op in (push_log, connect):
+            w = l1().retagged(semiring.LOG)
+            snap = snapshot(w)
+            op(w)
+            assert_unchanged(w, snap)
+
+    def test_prepare_on_a_raw_lattice_the_caller_keeps(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            raw = random_acyclic_wfsa(rng, max_states=15, eps_fraction=0.2)
+            snap = snapshot(raw)
+            prepare(raw)
+            assert_unchanged(raw, snap)
+
+
+class TestArcSharing:
+    def test_unchanged_arcs_pass_through_as_they_are(self):
+        w = Wfsa(semiring.LOG)
+        w.add_arc(0, A, 0.0, 1)
+        w.add_arc(0, B, 0.25, 2)
+        w.add_arc(0, B, 0.5, 2)         # merges with the arc before it
+        w.add_arc(0, EPS, 0.5, 3)       # 0 reaches 3's arc at a cost
+        w.add_arc(3, C, 1.0, 2)
+        w.add_arc(1, D, 0.75, 2)
+        w.add_arc(1, C, 0.1, 3)
+        w.set_final(2)
+        out = rm_epsilon(w)
+        assert out.arcs[0] == [Arc(A, 0.0, 1), Arc(B, semiring.log_add(0.25, 0.5), 2),
+                               Arc(C, 1.5, 2)]
+        assert out.arcs[0][0] is w.arcs[0][0]
+        assert out.arcs[1] == sorted(w.arcs[1])
+        assert all(mine is theirs for mine, theirs in zip(out.arcs[1], sorted(w.arcs[1])))
+        assert out.arcs[3][0] is w.arcs[3][0]
+        # BFS keeps every state's number, so determinize keeps every arc
+        det = determinize(out)
+        assert det.arcs == out.arcs
+        assert all(mine is theirs for mine_row, their_row in zip(det.arcs, out.arcs)
+                   for mine, theirs in zip(mine_row, their_row))
+
+    @pytest.mark.parametrize("op", [rm_epsilon, determinize])
+    def test_negative_zero_comes_out_as_positive_zero(self, op):
+        # the stages add 0.0 to every weight, and 0.0 + -0.0 is 0.0
+        w = chain([-0.0, 0.5])
+        out = op(w)
+        assert out.arcs[0] == [Arc(A, 0.0, 1)]
+        assert math.copysign(1.0, out.arcs[0][0].weight) == 1.0
+        assert out.arcs[1][0] is w.arcs[1][0]

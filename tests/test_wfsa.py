@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from latbeam import semiring
+from latbeam import semiring, wfsa
 from latbeam.errors import LatticeFormatError, UnknownSymbolError
 from latbeam.posterior import PosteriorLattice, prepare
 from latbeam.synth import build_demo
@@ -167,6 +167,56 @@ class TestParseWfsa:
         assert [(a.label, a.dst) for a in w.arcs_from(2)] == [(1, 5)]
         assert [(a.label, a.dst) for a in w.arcs_from(0)] == [(2, 2)]
         assert all(not w.arcs_from(q) for q in (1, 3, 4, 5, 6, 7))
+
+
+# every line end str.splitlines() knows of that the tests use, blank and
+# comment lines, a line far longer than a small piece and no final newline
+MIXED_ENDS = ("# a comment line\n0 1 a 0.5\r\n\n1 2 b 0.25\r2 3 c\x0b"
+              "   # " + "x" * 50 + "\n3 4 a 1.0\x85\r\n4 5 b\u2028\n5 0.5\n"
+              "2 0.125\r\n4")
+
+
+def fields_of(w: Wfsa):
+    return w.start, w.finals, w.arcs
+
+
+class TestParsePieces:
+    """parse_wfsa splits its text into pieces cut after a newline; the
+    lines and their numbers must be those of the whole text."""
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 5, 8, 13])
+    def test_small_pieces_parse_as_the_default_size(self, abc, monkeypatch, piece):
+        want = fields_of(parse_wfsa(MIXED_ENDS, abc))
+        pieces_seen = []
+        monkeypatch.setattr(wfsa, "_PIECE", piece)
+        real = wfsa._pieces
+        monkeypatch.setattr(wfsa, "_pieces",
+                            lambda text: (pieces_seen.append(p) or p for p in real(text)))
+        assert fields_of(parse_wfsa(MIXED_ENDS, abc)) == want
+        assert len(pieces_seen) > 3
+        assert "".join(pieces_seen) == MIXED_ENDS
+        lines = [line for p in pieces_seen for line in p.splitlines()]
+        assert lines == MIXED_ENDS.splitlines()
+
+    def test_default_size_reads_the_whole_lattice(self, abc):
+        w = parse_wfsa(MIXED_ENDS, abc)
+        assert w.start == 0
+        assert w.finals == {5: 0.5, 2: 0.125, 4: 0.0}
+        assert [(src, arc) for src, arc in iter_arcs(w)] == [
+            (0, (1, 0.5, 1)), (1, (2, 0.25, 2)), (2, (3, 0.0, 3)),
+            (3, (1, 1.0, 4)), (4, (2, 0.0, 5))]
+
+    @pytest.mark.parametrize("piece", [1, 4, 1 << 16])
+    def test_error_past_the_first_piece_keeps_its_line_number(self, abc, monkeypatch, piece):
+        monkeypatch.setattr(wfsa, "_PIECE", piece)
+        text = "0 1 a\r\n1 2 b\n\n# c\u2028" + "2 3 c\n" * 20 + "3 4 a 0.5 x\n4\n"
+        with pytest.raises(LatticeFormatError, match="expected 1, 2, 3 or 4") as exc:
+            parse_wfsa(text, abc)
+        assert exc.value.line == text.splitlines().index("3 4 a 0.5 x") + 1 == 25
+
+    def test_arcs_into_a_state_share_one_int(self, abc):
+        w = parse_wfsa("0 300 a\n0 1 b\n1 300 c\n300\n", abc)
+        assert w.arcs[0][0].dst is w.arcs[1][0].dst
 
 
 class TestSerializeWfsa:
