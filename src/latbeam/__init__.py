@@ -17,7 +17,6 @@ from .errors import (
     NotDeterministicError,
     NotStochasticError,
     ScorerFormatError,
-    SearchError,
     SemiringError,
     TuneError,
     UnknownSymbolError,
@@ -74,7 +73,6 @@ from .baselines import (
     NBestList,
     RescoredEntry,
     RescoreResult,
-    decode_unconstrained,
     nbest_from_posterior,
     rescore_nbest_dfs,
     rescore_nbest_naive,

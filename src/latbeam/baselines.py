@@ -1,9 +1,9 @@
 """Reference decoding modes the lattice-fused decoder is measured against.
 
-Three ways to use the scorer without walking the lattice arc by arc:
-decode over the scorer's own vocabulary (no lattice at all), or rescore
-an n-best list of lattice hypotheses either one hypothesis at a time or
-with a depth-first sweep of their shared prefix trie. Rescoring cost is
+Two ways to use the scorer without walking the lattice arc by arc:
+rescore an n-best list of lattice hypotheses either one hypothesis at a
+time or with a depth-first sweep of their shared prefix trie. The list
+comes from the lattice alone (nbest_from_posterior). Rescoring cost is
 counted in scorer predict calls, one per scored token (eos included).
 The decoder's node expansions count live hypotheses expanded, which
 may share one predict call, so the two units differ.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .decoder import DecoderConfig, DecodeResult, _beam_search, _joint, check_lambdas
+from .decoder import _joint, check_lambdas
 from .errors import ConfigError
 from .ops import _n_shortest
 from .posterior import PosteriorLattice
@@ -62,27 +62,6 @@ def nbest_from_posterior(lattice: PosteriorLattice, n: int,
             last = -cost
         entries.append((tokens, last))
     return NBestList(entries, source_id)
-
-
-def decode_unconstrained(scorer, cfg: DecoderConfig | None = None) -> DecodeResult:
-    """Beam search over the scorer's full vocabulary, no lattice.
-
-    Candidates are every vocabulary token plus finishing on eos; the
-    lattice weight is unused and lambda_scorer must be positive. Raises
-    SearchError when nothing finishes within cfg.max_steps iterations
-    (100 when unset).
-    """
-    if cfg is None:
-        cfg = DecoderConfig()
-    if cfg.lambda_scorer <= 0:
-        raise ConfigError("unconstrained decoding needs lambda_scorer > 0")
-
-    def expand(_, pred):
-        lam = cfg.lambda_scorer
-        return ([(token, lam * lp, -1) for token, lp in sorted(pred.in_vocab.items())],
-                lam * pred.eos_logprob)
-
-    return _beam_search(-1, scorer, cfg.beam, cfg.max_steps or 100, expand)
 
 
 @dataclass(frozen=True, slots=True)

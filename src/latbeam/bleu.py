@@ -85,7 +85,10 @@ def _corpus_bleu(hypotheses, counted) -> BleuReport:
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / MAX_ORDER)
+        log_total = 0.0  # not sum(): see scorers.logsumexp
+        for p in precisions:
+            log_total += math.log(p)
+        score = bp * math.exp(log_total / MAX_ORDER)
     return BleuReport(score, precisions, bp, hyp_length, ref_length,
                       tuple(matched), tuple(totals))
 

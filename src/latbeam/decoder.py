@@ -16,20 +16,21 @@ hypotheses ride along in the same beam untouched. Within an iteration,
 hypotheses with equal lattice and scorer states share one scorer
 predict call and one expansion, and survivors with equal scorer states
 and tokens share one consume call; equal states have equal futures, so
-this changes no score. One loop serves this decoder and the
-unconstrained baseline; it calls consume only for hypotheses that
-survive the beam, when they are expanded, and reads prefixes back
-through parent pointers.
+this changes no score. The search calls consume only for hypotheses
+that survive the beam, when they are expanded, and reads prefixes back
+through parent pointers. It has no step cap: it ends within the
+lattice's depth + 1 iterations (see decode).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from operator import itemgetter
 from typing import Any
 
-from .errors import ConfigError, SearchError
+from .errors import ConfigError
 from .posterior import PosteriorLattice
 from .scorers import Prediction, logsumexp
 
@@ -50,14 +51,11 @@ class DecoderConfig:
     lambda_lat: float = 1.0
     lambda_scorer: float = 1.0
     local_softmax: bool = False
-    max_steps: int | None = None
 
     def __post_init__(self):
         if self.beam < 1:
             raise ConfigError("beam must be at least 1")
         check_lambdas(self.lambda_lat, self.lambda_scorer)
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigError("max_steps must be positive")
 
 
 @dataclass(slots=True, eq=False)
@@ -116,9 +114,21 @@ def _joint(lambda_lat: float, lattice_term: float, lambda_scorer: float,
             + (lambda_scorer * scorer_term if lambda_scorer else 0.0))
 
 
-def _beam_search(start: int, scorer, width: int, max_steps: int,
-                 expand) -> DecodeResult:
-    """The search loop of every decoding mode.
+def decode(lattice: PosteriorLattice, scorer,
+           cfg: DecoderConfig | None = None) -> DecodeResult:
+    """Fused beam decode; returns the best finished hypothesis.
+
+    Stops as soon as the top of the beam is finished: scores only drop
+    as prefixes grow, all terms being log-probabilities, so nothing
+    pending can overtake it within the beam. That happens within
+    lattice.depth + 1 iterations. A PosteriorLattice is trimmed, acyclic
+    and stochastic, so every state has arcs or stop mass, and a live
+    hypothesis of iteration n sits at a state n arcs from the start.
+    Every expansion thus yields a candidate, and at iteration
+    lattice.depth no arc leaves a live hypothesis's state, so it can
+    only finish; whatever the scores, even NaN, the whole beam is then
+    finished. The output prefix is accepted by the lattice by
+    construction.
 
     expand(lattice_state, pred) returns [(token, step_score, next_state)]
     and the score of finishing there, or None; it runs once per distinct
@@ -129,68 +139,9 @@ def _beam_search(start: int, scorer, width: int, max_steps: int,
     generation, and lex is (rank of the parent among that generation in
     prefix order, token), or the lex of the hypothesis that finishes.
     """
-    live = [((), Hypothesis(0.0, start, scorer.start()))]  # (lex, hyp), prefix order
-    done = []  # finished survivors, as (-score, length, lex, hyp, None)
-    best_done = None
-    expansions = 0
-    for length in range(max_steps):
-        candidates = done
-        consumed = {}  # (scorer state, token) -> consume(...), this step
-        expanded = {}  # (lattice state, scorer state) -> expand(...), this step
-        for rank, (lex, hyp) in enumerate(live):
-            if hyp.parent is not None:  # its token is consumed now, not at survival
-                pair = (hyp.scorer_state, hyp.token)
-                if pair not in consumed:
-                    consumed[pair] = scorer.consume(*pair)
-                hyp.scorer_state = consumed[pair]
-            key = (hyp.lattice_state, hyp.scorer_state)
-            if key not in expanded:
-                expanded[key] = expand(hyp.lattice_state, scorer.predict(hyp.scorer_state))
-            steps, end = expanded[key]
-            for token, step, state in steps:
-                candidates.append((-(hyp.score + step), length + 1, (rank, token), hyp, state))
-            if end is not None:  # finishing keeps hyp's prefix: same parent and token
-                fin = Hypothesis(hyp.score + end, hyp.lattice_state, hyp.scorer_state,
-                                 hyp.parent, hyp.token, True)
-                cand = (-fin.score, length, lex, fin, None)
-                candidates.append(cand)
-                best_done = cand if best_done is None else min(best_done, cand)
-        expansions += len(live)
-        candidates.sort()
-        beam, live, done = [], [], []
-        for cand in candidates[:width]:
-            neg, _, lex, hyp, state = cand
-            if state is None:
-                done.append(cand)
-            else:
-                # the parent's scorer state, until this one is expanded
-                hyp = Hypothesis(-neg, state, hyp.scorer_state, hyp, lex[1])
-                live.append((lex, hyp))
-            beam.append(hyp)
-        if beam[0].finished:
-            return DecodeResult(beam[0], beam, expansions)
-        live.sort(key=itemgetter(0))
-    if best_done is None:
-        raise SearchError(f"no finished hypothesis within {max_steps} steps")
-    return DecodeResult(best_done[3], beam, expansions)
-
-
-def decode(lattice: PosteriorLattice, scorer,
-           cfg: DecoderConfig | None = None) -> DecodeResult:
-    """Fused beam decode; returns the best finished hypothesis.
-
-    Terminates as soon as the top of the beam is finished (scores only
-    drop as prefixes grow, all terms being log-probabilities, so nothing
-    pending can overtake it within the beam), or after max_steps
-    iterations, defaulting to three times the lattice depth, in which
-    case the best finished hypothesis seen anywhere is returned. A search
-    that never finishes anything raises SearchError. The output prefix is
-    accepted by the lattice by construction.
-    """
     if cfg is None:
         cfg = DecoderConfig()
-    max_steps = cfg.max_steps or max(1, 3 * lattice.depth)
-
+    width = cfg.beam
     lambda_lat, lambda_scorer = cfg.lambda_lat, cfg.lambda_scorer
     # local_softmax renormalizes the scorer mass over the tokens on a
     # state's arcs, once per state; a dropped scorer term needs no norm
@@ -209,4 +160,41 @@ def decode(lattice: PosteriorLattice, scorer,
             return steps, None
         return steps, _joint(lambda_lat, final_logprob, lambda_scorer, pred.eos_logprob)
 
-    return _beam_search(lattice.start, scorer, cfg.beam, max_steps, expand)
+    live = [((), Hypothesis(0.0, lattice.start, scorer.start()))]  # (lex, hyp), prefix order
+    done = []  # finished survivors, as (-score, length, lex, hyp, None)
+    expansions = 0
+    for length in count():
+        candidates = done
+        consumed = {}  # (scorer state, token) -> consume(...), this step
+        expanded = {}  # (lattice state, scorer state) -> expand(...), this step
+        for rank, (lex, hyp) in enumerate(live):
+            if hyp.parent is not None:  # its token is consumed now, not at survival
+                pair = (hyp.scorer_state, hyp.token)
+                if pair not in consumed:
+                    consumed[pair] = scorer.consume(*pair)
+                hyp.scorer_state = consumed[pair]
+            key = (hyp.lattice_state, hyp.scorer_state)
+            if key not in expanded:
+                expanded[key] = expand(hyp.lattice_state, scorer.predict(hyp.scorer_state))
+            steps, end = expanded[key]
+            for token, step, state in steps:
+                candidates.append((-(hyp.score + step), length + 1, (rank, token), hyp, state))
+            if end is not None:  # finishing keeps hyp's prefix: same parent and token
+                fin = Hypothesis(hyp.score + end, hyp.lattice_state, hyp.scorer_state,
+                                 hyp.parent, hyp.token, True)
+                candidates.append((-fin.score, length, lex, fin, None))
+        expansions += len(live)
+        candidates.sort()
+        beam, live, done = [], [], []
+        for cand in candidates[:width]:
+            neg, _, lex, hyp, state = cand
+            if state is None:
+                done.append(cand)
+            else:
+                # the parent's scorer state, until this one is expanded
+                hyp = Hypothesis(-neg, state, hyp.scorer_state, hyp, lex[1])
+                live.append((lex, hyp))
+            beam.append(hyp)
+        if beam[0].finished:
+            return DecodeResult(beam[0], beam, expansions)
+        live.sort(key=itemgetter(0))

@@ -65,11 +65,8 @@ class BleuError(LatbeamError, ValueError):
 
 
 class ConfigError(LatbeamError, ValueError):
-    """An invalid setting, such as a decoder beam below 1."""
-
-
-class SearchError(LatbeamError):
-    """Beam search ran out of steps without completing a hypothesis."""
+    """An invalid setting or argument, such as a decoder beam below 1 or
+    an unknown semiring tag."""
 
 
 class TuneError(LatbeamError, RuntimeError):

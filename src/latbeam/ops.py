@@ -118,8 +118,10 @@ def _connect(w: Wfsa) -> Wfsa:
         renum[old] = new
     out = Wfsa(w.semiring)
     out.start = renum[w.start]
-    out.arcs = [[_new(Arc, (label, weight, renum[dst]))
-                 for label, weight, dst in w.arcs[old] if renum[dst] >= 0]
+    # an arc whose dst keeps its number stays the input's own Arc
+    out.arcs = [[arc if renum[dst] == dst else _new(Arc, (label, weight, renum[dst]))
+                 for arc in w.arcs[old] for label, weight, dst in (arc,)
+                 if renum[dst] >= 0]
                 for old in keep]
     out.finals = {renum[q]: f for q, f in w.finals.items() if renum[q] >= 0}
     return out

@@ -47,12 +47,20 @@ _SPECIAL_SYMS = {v: k for k, v in _SPECIAL_IDS.items()}
 
 
 def logsumexp(values) -> float:
-    """Stable ln(sum(exp(v))) over an iterable of log values."""
+    """Stable ln(sum(exp(v))) over an iterable of log values.
+
+    Float sums here and in train_ngram and corpus_bleu add left to
+    right with +=, never with sum(), which Python 3.12 and later
+    compensate: the same inputs give the same bits on every version.
+    """
     vals = [v for v in values if v != -math.inf]
     if not vals:
         return -math.inf
     top = max(vals)
-    return top + math.log(sum(math.exp(v - top) for v in vals))
+    total = 0.0
+    for v in vals:
+        total += math.exp(v - top)
+    return top + math.log(total)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +125,9 @@ class NgramScorer:
 
     def __init__(self, order: int, vocab, table: dict[tuple[int, ...], Prediction]):
         if order < 1:
-            raise ValueError("order must be at least 1")
+            raise ConfigError("order must be at least 1")
         if () not in table:
-            raise ValueError("table must contain the empty context")
+            raise ConfigError("table must contain the empty context")
         self.order = order
         self.vocab = frozenset(vocab)
         self.table = table
@@ -212,7 +220,9 @@ def train_ngram(corpus, order: int, smoothing: str = "add-k",
 
         for ctx in counts:
             scores = [raw_score(e, ctx) for e in events]
-            norm = sum(scores)
+            norm = 0.0  # not sum(): see logsumexp
+            for score in scores:
+                norm += score
             logprobs = {e: math.log(s / norm) for e, s in zip(events, scores)}
             table[ctx] = _to_prediction(logprobs)
 

@@ -11,6 +11,8 @@ Weights must never be NaN or -inf; parsers reject both on the way in.
 
 import math
 
+from .errors import ConfigError
+
 INF = math.inf
 
 ZERO = INF
@@ -55,4 +57,4 @@ def plus_for(semiring: str):
         return trop_add
     if semiring == LOG:
         return log_add
-    raise ValueError(f"unknown semiring {semiring!r}")
+    raise ConfigError(f"unknown semiring {semiring!r}")

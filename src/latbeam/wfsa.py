@@ -22,7 +22,7 @@ from itertools import accumulate, chain
 from typing import NamedTuple
 
 from . import semiring
-from .errors import LatticeFormatError, UnknownSymbolError
+from .errors import ConfigError, LatticeFormatError, UnknownSymbolError
 
 EPS = 0
 EPS_SYM = "<eps>"
@@ -148,7 +148,7 @@ class Wfsa:
 
     def __init__(self, semiring_tag: str = semiring.TROPICAL):
         if semiring_tag not in (semiring.TROPICAL, semiring.LOG):
-            raise ValueError(f"unknown semiring {semiring_tag!r}")
+            raise ConfigError(f"unknown semiring {semiring_tag!r}")
         self.semiring = semiring_tag
         self.start = 0
         self.arcs: list[list[Arc]] = []
@@ -201,17 +201,14 @@ class Wfsa:
         return True
 
     def copy(self) -> "Wfsa":
-        out = Wfsa(self.semiring)
+        return self.retagged(self.semiring)
+
+    def retagged(self, semiring_tag: str) -> "Wfsa":
+        """A copy read in another semiring; the constructor checks the tag."""
+        out = Wfsa(semiring_tag)
         out.start = self.start
         out.arcs = [list(arcs) for arcs in self.arcs]
         out.finals = dict(self.finals)
-        return out
-
-    def retagged(self, semiring_tag: str) -> "Wfsa":
-        out = self.copy()
-        if semiring_tag not in (semiring.TROPICAL, semiring.LOG):
-            raise ValueError(f"unknown semiring {semiring_tag!r}")
-        out.semiring = semiring_tag
         return out
 
 

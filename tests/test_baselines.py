@@ -1,6 +1,5 @@
-"""Comparison systems: unconstrained search and n-best rescoring."""
+"""Comparison systems: n-best lists and their rescoring."""
 
-import itertools
 import math
 import random
 import tracemalloc
@@ -12,7 +11,6 @@ from generators import lattice_prefixes, random_acyclic_wfsa, random_table_score
 
 from latbeam.baselines import (
     NBestList,
-    decode_unconstrained,
     nbest_from_posterior,
     rescore_nbest_dfs,
     rescore_nbest_naive,
@@ -22,13 +20,7 @@ from latbeam import semiring
 from latbeam.errors import ConfigError, LatbeamError
 from latbeam.ops import n_shortest_strings
 from latbeam.posterior import PosteriorLattice, prepare
-from latbeam.scorers import (
-    NgramScorer,
-    Prediction,
-    TableScorer,
-    UniformScorer,
-    train_ngram,
-)
+from latbeam.scorers import UniformScorer, train_ngram
 from latbeam.synth import sausage_lattice
 from latbeam.wfsa import SymbolTable, Wfsa, parse_wfsa
 
@@ -74,23 +66,6 @@ def l1() -> Wfsa:
     w.set_final(2)
     w.set_final(3)
     return w
-
-
-def concentrated(rows_spec, vocab):
-    """Rows giving one continuation most of the mass: {prefix: (token, p)}.
-    token None concentrates on eos instead."""
-    rows = {}
-    for prefix, (token, p) in rows_spec.items():
-        others = sorted(vocab) + [None]
-        spread = (1.0 - p) / (len(vocab) + 1)
-        in_vocab = {t: math.log(spread) for t in sorted(vocab)}
-        eos = math.log(spread)
-        if token is None:
-            eos = math.log(p)
-        else:
-            in_vocab[token] = math.log(p)
-        rows[prefix] = Prediction(in_vocab, math.log(spread), eos)
-    return TableScorer(rows, vocab=vocab)
 
 
 class TestNBestList:
@@ -150,99 +125,6 @@ class TestNBestList:
             assert logprob == min(last, -cost)
             assert logprob == pytest.approx(-cost, abs=1e-12)
             last = logprob
-
-
-class TestDecodeUnconstrained:
-    def test_follows_concentrated_chain(self):
-        vocab = {A, B, C}
-        scorer = concentrated({
-            (): (A, 0.95),
-            (A,): (B, 0.95),
-            (A, B): (None, 0.95),
-        }, vocab)
-        result = decode_unconstrained(scorer)
-        assert result.best.prefix == (A, B)
-        assert result.best.finished
-
-    def test_beam_one_is_greedy(self):
-        # greedy takes the locally best first token even though the
-        # other branch ends better overall: 0.5*0.3 < 0.4*0.95
-        vocab = {A, B}
-        scorer = TableScorer({
-            (): Prediction({A: math.log(0.5), B: math.log(0.4)},
-                           math.log(0.05), math.log(0.05)),
-            (A,): Prediction({A: math.log(0.7 / 3), B: math.log(0.7 / 3)},
-                             math.log(0.7 / 3), math.log(0.3)),
-            (B,): Prediction({A: math.log(0.05 / 3), B: math.log(0.05 / 3)},
-                             math.log(0.05 / 3), math.log(0.95)),
-        }, vocab=vocab)
-        greedy = decode_unconstrained(scorer, DecoderConfig(beam=1))
-        assert greedy.best.prefix == (A,)
-        wide = decode_unconstrained(scorer, DecoderConfig(beam=8))
-        assert wide.best.prefix == (B,)
-
-    def test_step_cap_comes_from_config(self):
-        # a scorer that always prefers going on never finishes on its
-        # own; the search stops at the cap and falls back to the best
-        # finished hypothesis, the empty string
-        lp = math.log
-        scorer = NgramScorer(1, {A}, {(): Prediction({A: lp(0.98)},
-                                                     lp(0.01), lp(0.01))})
-        capped = decode_unconstrained(scorer, DecoderConfig(beam=1, max_steps=7))
-        assert capped.node_expansions == 7
-        assert capped.best.prefix == ()
-        assert capped.best.finished
-        default = decode_unconstrained(scorer, DecoderConfig(beam=1))
-        assert default.node_expansions == 100
-
-    def test_requires_scorer_weight(self):
-        with pytest.raises(ValueError):
-            decode_unconstrained(UniformScorer({A}),
-                                 DecoderConfig(lambda_lat=1.0,
-                                               lambda_scorer=0.0))
-
-    def test_missing_scorer_weight_is_a_config_error(self):
-        with pytest.raises(ConfigError) as exc:
-            decode_unconstrained(UniformScorer({A}), DecoderConfig(lambda_scorer=0.0))
-        assert isinstance(exc.value, LatbeamError)
-        assert isinstance(exc.value, ValueError)
-
-    def test_matches_bruteforce_over_bounded_strings(self):
-        rng = random.Random(113)
-        vocab = (1, 2, 3)
-        for trial in range(10):
-            rows = {}
-            for length in range(3):
-                for prefix in itertools.product(vocab, repeat=length):
-                    probs = [rng.random() + 0.05 for _ in range(5)]
-                    z = sum(probs)
-                    rows[prefix] = Prediction(
-                        {t: math.log(p / z)
-                         for t, p in zip(vocab, probs[:3])},
-                        math.log(probs[3] / z), math.log(probs[4] / z))
-            for prefix in itertools.product(vocab, repeat=3):
-                # depth-3 rows stop with high probability, so nothing
-                # longer than 3 tokens can win
-                rows[prefix] = Prediction(
-                    {t: math.log(0.02) for t in vocab},
-                    math.log(0.04), math.log(0.9))
-            scorer = TableScorer(rows, vocab=set(vocab))
-
-            def string_score(tokens):
-                state = scorer.start()
-                total = 0.0
-                for t in tokens:
-                    total += scorer.predict(state).logprob(t)
-                    state = scorer.consume(state, t)
-                return total + scorer.predict(state).eos_logprob
-
-            want = max(
-                (tuple(s) for length in range(4)
-                 for s in itertools.product(vocab, repeat=length)),
-                key=lambda s: (string_score(s), -len(s),
-                               tuple(-t for t in s)))
-            got = decode_unconstrained(scorer, DecoderConfig(beam=60))
-            assert got.best.prefix == want
 
 
 class TestRescoreNaive:

@@ -2,11 +2,9 @@
 
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
-from latbeam.baselines import decode_unconstrained
 from latbeam.decoder import (
     DecodeResult,
     DecoderConfig,
@@ -14,7 +12,6 @@ from latbeam.decoder import (
     decode,
     local_log_norm,
 )
-from latbeam.errors import SearchError
 from latbeam.posterior import REJECT, prepare
 from latbeam.scorers import UNK_ID, Prediction, TableScorer, UniformScorer, train_ngram
 from latbeam.synth import sausage_lattice
@@ -92,13 +89,9 @@ def reference_decode(lattice, scorer, cfg, trace=None):
     token) of every live hypothesis that survives the step's pruning.
     """
     key = lambda h: (-h[1], len(h[0]), h[0])
-    max_steps = cfg.max_steps or max(1, 3 * lattice.depth)
     # (prefix, score, finished, state, scorer state, parent's scorer state)
     beam = [((), 0.0, False, lattice.start, scorer.start(), None)]
-    best_finished = None
-    for _ in range(max_steps):
-        if beam[0][2]:
-            break
+    while not beam[0][2]:
         candidates = []
         expanded = [(h[3], h[4]) for h in beam if not h[2]]
         for hyp in beam:
@@ -122,16 +115,12 @@ def reference_decode(lattice, scorer, cfg, trace=None):
                 end = cfg.lambda_lat * final_logprob if cfg.lambda_lat else 0.0
                 if cfg.lambda_scorer:
                     end += cfg.lambda_scorer * pred.eos_logprob
-                done = (prefix, score + end, True, state, sstate, None)
-                candidates.append(done)
-                if best_finished is None or key(done) < key(best_finished):
-                    best_finished = done
+                candidates.append((prefix, score + end, True, state, sstate, None))
         candidates.sort(key=key)
         beam = candidates[:cfg.beam]
         if trace is not None:
             trace.append((expanded, [(h[5], h[0][-1]) for h in beam if not h[2]]))
-    best = beam[0] if beam[0][2] else best_finished
-    return best[:3], [h[:3] for h in beam]
+    return beam[0][:3], [h[:3] for h in beam]
 
 
 class FreshStateScorer(CountingScorer):
@@ -373,26 +362,6 @@ class TestDecode:
         result = decode(lat, UniformScorer({A, B}), DecoderConfig())
         assert result.best.prefix == (A,)
 
-    def test_search_error_when_nothing_finishes(self):
-        lat = prepare(l1())
-        cfg = DecoderConfig(max_steps=1)
-        with pytest.raises(SearchError):
-            decode(lat, UniformScorer({A, B, C}), cfg)
-
-    def test_max_steps_falls_back_to_best_finished(self):
-        w = Wfsa()
-        w.add_arc(0, A, 2.0, 1)
-        w.add_arc(0, B, 0.1, 2)
-        w.add_arc(2, C, 0.1, 3)
-        w.add_arc(3, A, 0.1, 4)
-        w.set_final(1)
-        w.set_final(4)
-        lat = prepare(w)
-        cfg = DecoderConfig(max_steps=2)
-        result = decode(lat, UniformScorer({A, B, C}), cfg)
-        assert result.best.prefix == (A,)
-        assert result.best.finished
-
     def test_local_softmax_still_returns_accepted_string(self):
         rng = random.Random(101)
         scorer = train_ngram([[1, 2, 3], [2, 1, 3]], order=2)
@@ -461,16 +430,6 @@ class TestDecode:
                     expansions += got.node_expansions
         # equal states were shared although they were not the same objects
         assert scorer.predict_calls < expansions
-        # the unconstrained baseline runs the same loop: against the
-        # reference over a one-state lattice that loops on every token
-        flower = Wfsa()
-        for token in sorted(model.vocab):
-            flower.add_arc(0, token, 0.0, 0)
-        flower.set_final(0)
-        cfg = DecoderConfig(beam=12, max_steps=8)
-        assert_same_search(
-            decode_unconstrained(scorer, cfg),
-            reference_decode(SimpleNamespace(inner=flower, start=0), model, cfg))
 
     def test_ties_match_reference_search_at_narrow_beams(self):
         # equal arc weights over three labels and a uniform scorer make
@@ -498,6 +457,40 @@ class TestDecode:
         lat = prepare(w)
         result = decode(lat, UniformScorer({1, 2, 3}), DecoderConfig(beam=2))
         assert result.best.prefix == tuple(1 + q % 3 for q in range(5000))
+
+    def test_search_ends_within_depth_plus_one_steps(self):
+        # every state of a posterior lattice has arcs or stop mass, and a
+        # hypothesis of length depth can only finish, so the beam is all
+        # finished after at most depth + 1 steps of at most beam expansions
+        def check(lat, scorer):
+            for beam in (1, 3, 64):
+                for flag in (False, True):
+                    result = decode(lat, scorer, DecoderConfig(beam=beam, local_softmax=flag))
+                    assert result.best.finished
+                    assert lat.accepted_logprob(result.best.prefix) is not REJECT
+                    assert result.node_expansions <= beam * (lat.depth + 1)
+
+        rng = random.Random(151)
+        model = train_ngram([[rng.randint(1, 8) for _ in range(8)] for _ in range(30)],
+                            order=3)
+        lattices = [prepare(random_acyclic_wfsa(rng, max_states=20)) for _ in range(10)]
+        lattices += [prepare(sausage_lattice(12, seed=seed, n_labels=8, branches=3))
+                     for seed in range(3)]
+        for lat in lattices:
+            check(lat, model)
+        # no scorer mass on any lattice token: under local softmax every
+        # step scores -inf minus a -inf norm, NaN, and only finishing
+        # stays finite
+        for lat in (lattices[0], lattices[-1]):
+            tokens = vocabulary(lat)
+            spare = max(tokens) + 1
+            row = Prediction({**dict.fromkeys(tokens, -math.inf), spare: math.log(0.5)},
+                             -math.inf, math.log(0.5))
+            scorer = TableScorer(dict.fromkeys(lattice_prefixes(lat), row),
+                                 vocab=tokens | {spare})
+            pred = scorer.predict(scorer.start())
+            assert math.isnan(pred.logprob(min(tokens)) - local_log_norm(pred, tokens))
+            check(lat, scorer)
 
     def test_exhaustive_agreement_at_wide_beam(self):
         rng = random.Random(109)

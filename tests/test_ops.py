@@ -781,6 +781,25 @@ class TestArcSharing:
         assert all(mine is theirs for mine_row, their_row in zip(det.arcs, out.arcs)
                    for mine, theirs in zip(mine_row, their_row))
 
+    def test_trim_keeps_arcs_whose_dst_keeps_its_number(self):
+        # the trim drops unreachable state 4 and renumbers no other state
+        w = chain([0.5, 0.25, 1.0])
+        w.add_arc(4, D, 0.1, 2)
+        out = rm_epsilon(w)
+        assert out.num_states == 4
+        assert all(out.arcs[q][0] is w.arcs[q][0] for q in range(3))
+        # dropping unreachable state 2 renumbers 3 and 4 and only the
+        # arcs into them
+        w = Wfsa(semiring.LOG)
+        w.add_arc(0, A, 0.5, 1)
+        w.add_arc(1, B, 0.25, 3)
+        w.add_arc(2, C, 0.1, 3)
+        w.add_arc(3, D, 1.0, 4)
+        w.set_final(4)
+        out = rm_epsilon(w)
+        assert out.arcs == [[Arc(A, 0.5, 1)], [Arc(B, 0.25, 2)], [Arc(D, 1.0, 3)], []]
+        assert out.arcs[0][0] is w.arcs[0][0]
+
     @pytest.mark.parametrize("op", [rm_epsilon, determinize])
     def test_negative_zero_comes_out_as_positive_zero(self, op):
         # the stages add 0.0 to every weight, and 0.0 + -0.0 is 0.0

@@ -17,6 +17,7 @@ from latbeam.scorers import (
     UniformScorer,
     load_ngram_model,
     load_table_scorer,
+    logsumexp,
     train_ngram,
 )
 from latbeam.wfsa import SymbolTable
@@ -37,6 +38,14 @@ def assert_normalized(pred: Prediction, tol: float = 1e-6):
     mass = sum(math.exp(lp) for lp in pred.in_vocab.values())
     mass += math.exp(pred.unk_logprob) + math.exp(pred.eos_logprob)
     assert mass == pytest.approx(1.0, abs=tol)
+
+
+class TestLogsumexp:
+    def test_adds_left_to_right_on_every_python(self):
+        # 1.0 + 1e-16 rounds back to 1.0 twice; the compensated sum() of
+        # Python 3.12 and later would keep the 2e-16 and give 2.2e-16
+        tiny = math.log(1e-16)
+        assert logsumexp([0.0, tiny, tiny]) == 0.0
 
 
 class TestPrediction:
