@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 from .errors import BleuError, ConfigError, TuneError
@@ -108,32 +109,39 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
     Only the ratio of the two weights matters to the decoder's argmax, so
     lambda_scorer stays fixed at 1 and the grid sweeps lambda_lat. Ties
     go to the smaller lambda_lat. The references' n-grams are counted
-    once, for every grid point. Decoding failures are re-raised as
-    TuneError naming the offending sentence; an empty grid is a
+    once, for every grid point. Lattices may come from any iterable:
+    each is decoded at every grid point as it arrives and then let go,
+    so one lattice is held at a time, and BLEU is computed per grid
+    point after the last. A count that differs from the references' is
+    a ConfigError, found before any decode when lattices has a length
+    and after the last decode otherwise. Decoding failures are re-raised
+    as TuneError naming the offending sentence; an empty grid is a
     TuneError too.
     """
     from .decoder import DecoderConfig, decode
 
-    lattices = list(lattices)
     counted = _count_references(references)
-    if len(lattices) != len(counted):
+    if isinstance(lattices, Sized) and len(lattices) != len(counted):
         raise ConfigError("development lattices and references differ in length")
     grid = sorted(grid)
     if not grid:
         raise TuneError("empty lambda_lat grid")
-    best: TuneResult | None = None
-    history: list[tuple[float, float]] = []
-    for lam in grid:
-        cfg = DecoderConfig(beam=beam, lambda_lat=lam, lambda_scorer=1.0,
-                            local_softmax=local_softmax)
-        hyps = []
-        for i, lattice in enumerate(lattices):
+    configs = [DecoderConfig(beam=beam, lambda_lat=lam, lambda_scorer=1.0,
+                             local_softmax=local_softmax) for lam in grid]
+    hyps = [[] for _ in grid]   # hyps[g]: each lattice's best prefix at grid[g]
+    for i, lattice in enumerate(lattices):
+        for cfg, found in zip(configs, hyps):
             try:
-                hyps.append(decode(lattice, scorer, cfg).best.prefix)
+                found.append(decode(lattice, scorer, cfg).best.prefix)
             except Exception as exc:
                 raise TuneError(f"decode failed on sentence {i} at "
-                                f"lambda_lat={lam}: {exc}") from exc
-        report = _corpus_bleu(hyps, counted)
+                                f"lambda_lat={cfg.lambda_lat}: {exc}") from exc
+    if len(hyps[0]) != len(counted):
+        raise ConfigError("development lattices and references differ in length")
+    best: TuneResult | None = None
+    history: list[tuple[float, float]] = []
+    for lam, found in zip(grid, hyps):
+        report = _corpus_bleu(found, counted)
         history.append((lam, report.score))
         if best is None or report.score > best.bleu.score:
             best = TuneResult(lam, 1.0, report)

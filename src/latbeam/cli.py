@@ -24,8 +24,10 @@ import json
 import math
 import os
 import sys
+from array import array
 from contextlib import contextmanager, nullcontext
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -37,7 +39,7 @@ from .baselines import (
 )
 from .bleu import corpus_bleu, tune_grid
 from .decoder import DecoderConfig, decode
-from .errors import LatbeamError, UnknownSymbolError
+from .errors import ConfigError, LatbeamError, UnknownSymbolError
 from .posterior import STAGES, PosteriorLattice, prepare
 from .scorers import (MAX_ORDER, UniformScorer, load_ngram_model, load_table_scorer,
                       train_ngram)
@@ -158,7 +160,7 @@ class _Batch:
     """
 
     def __init__(self, fn, latdir: str, workers: int = 1, **context):
-        files = sorted(Path(latdir).glob("*.lat"))
+        self.files = files = sorted(Path(latdir).glob("*.lat"))
         if not files:
             raise LatbeamError(f"no .lat files under {latdir}")
         self.outcomes = _outcomes(fn, files, min(workers, len(files)), context)
@@ -217,10 +219,20 @@ def cmd_push(args) -> int:
     return batch.status
 
 
+def _finite(score: float, where: str) -> float:
+    """score, or a LatbeamError naming where when it is not finite: -inf
+    when every hypothesis has no mass under a model with a positive
+    lambda. Such a score fails its sentence or list, and --json never
+    prints NaN or Infinity, which are not JSON."""
+    if not math.isfinite(score):
+        raise LatbeamError(f"{where}best score is {score}, not finite")
+    return score
+
+
 def _decode_file(path: Path, symbols: SymbolTable, scorer, cfg: DecoderConfig):
     result = decode(_read_posterior(path, symbols), scorer, cfg)
     tokens = symbols.spell(result.best.prefix)
-    return tokens, result.best.score, result.node_expansions
+    return tokens, _finite(result.best.score, ""), result.node_expansions
 
 
 def cmd_decode(args) -> int:
@@ -268,15 +280,27 @@ def cmd_nbest(args) -> int:
     return batch.status
 
 
-def _read_nbest_file(path, symbols) -> list[NBestList]:
-    groups: dict[str, list[tuple[tuple[int, ...], float]]] = {}
+def _read_nbest_file(path, symbols):
+    """The n-best lists of the file at path, one NBestList at a time, in
+    sorted-id order.
+
+    Every line is checked as it is read, so a bad line fails, in file
+    order, before any list is yielded; a list that NBestList refuses
+    fails when its turn comes. Until then each id's entries wait as
+    three array columns: token ids, where each entry's tokens end, and
+    log-probabilities, a few bytes a token where tuples of ints take
+    about 20.
+    """
+    # token ids in the narrowest unsigned type that holds the table's ids
+    top = max(symbols.ids(), default=0)
+    typecode = next((t for t in "HIQ" if top < 1 << 8 * array(t).itemsize), "Q")
+    columns: dict[str, tuple[array, array, array]] = {}
     with _file_errors(path), open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split("|||")]
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split("|||")
             if len(parts) != 3:
+                if not line.strip():
+                    continue
                 raise LatbeamError(
                     f"{path}: line {lineno}: expected 'id ||| tokens ||| logprob'")
             ident, text, lp_text = parts
@@ -285,19 +309,32 @@ def _read_nbest_file(path, symbols) -> list[NBestList]:
             except ValueError:
                 logprob = math.nan
             if not math.isfinite(logprob):
-                raise LatbeamError(f"{path}: line {lineno}: bad logprob {lp_text!r}")
+                raise LatbeamError(
+                    f"{path}: line {lineno}: bad logprob {lp_text.strip()!r}")
+            ident = ident.strip()
+            group = columns.get(ident)
+            if group is None:
+                group = columns[ident] = (array(typecode), array("Q"), array("d"))
+            tokens, ends, logprobs = group
             try:
-                tokens = tuple(map(symbols.id_of, text.split()))
+                tokens.extend(symbols.ids_of(text.split()))
             except UnknownSymbolError as exc:
                 raise LatbeamError(f"{path}: line {lineno}: {exc}") from None
-            groups.setdefault(ident, []).append((tokens, logprob))
-    lists = []
-    for ident, entries in sorted(groups.items()):
+            except OverflowError:
+                raise LatbeamError(
+                    f"{path}: line {lineno}: symbol id beyond 64 bits") from None
+            ends.append(len(tokens))
+            logprobs.append(logprob)
+    for ident in sorted(columns):
+        tokens, ends, logprobs = columns.pop(ident)
+        ids = tokens.tolist()
+        entries = [(tuple(ids[start:end]), logprob) for start, end, logprob
+                   in zip(chain((0,), ends), ends, logprobs)]
         try:
-            lists.append(NBestList(entries, source_id=ident))
+            nbest = NBestList(entries, source_id=ident)
         except ValueError as exc:
             raise LatbeamError(f"{path}: list {ident}: {exc}") from None
-    return lists
+        yield nbest
 
 
 def cmd_rescore(args) -> int:
@@ -305,26 +342,27 @@ def cmd_rescore(args) -> int:
     scorer = _make_scorer(args, symbols)
     rescore = rescore_nbest_dfs if args.mode == "dfs" else rescore_nbest_naive
     total_calls = 0
-    n_lists = 0
+    lines = []  # one per list, written once every list has passed
     with _output(args.out) as out:
         for nbest in _read_nbest_file(args.nbest_file, symbols):
             result = rescore(nbest, scorer, lambda_lat=args.lambda_lat,
                              lambda_scorer=args.lambda_scorer)
             best = result.ranked[0]
+            score = _finite(best.joint_score,
+                            f"{args.nbest_file}: list {nbest.source_id}: ")
             total_calls += result.predict_calls
-            n_lists += 1
             tokens = symbols.spell(best.tokens)
             if args.json:
-                out.write(json.dumps(
-                    {"id": nbest.source_id, "tokens": tokens,
-                     "score": best.joint_score,
+                lines.append(json.dumps(
+                    {"id": nbest.source_id, "tokens": tokens, "score": score,
                      "predict_calls": result.predict_calls},
                     sort_keys=True) + "\n")
             else:
-                out.write(" ".join(tokens) + "\n")
-    if n_lists:
-        print(f"rescored {n_lists} lists ({args.mode}), "
-              f"mean predict calls {total_calls / n_lists:.1f}", file=sys.stderr)
+                lines.append(" ".join(tokens) + "\n")
+        out.writelines(lines)
+    if lines:
+        print(f"rescored {len(lines)} lists ({args.mode}), "
+              f"mean predict calls {total_calls / len(lines):.1f}", file=sys.stderr)
     return 0
 
 
@@ -337,18 +375,28 @@ def cmd_tune(args) -> int:
     symbols = _load_symbols(args.symtab)
     scorer = _make_scorer(args, symbols)
     batch = _Batch(_read_posterior, args.latdir, symbols=symbols)
-    lattices = [lattice for _, lattice in batch]
-    if batch.status:
-        return batch.status
     # a reference word no lattice holds gets an id of its own, which no
     # hypothesis can match
     vocab = _open_copy(symbols)
     references = [[vocab.add(t) for t in sent] for sent in _read_sentences(args.refs)]
-    if len(references) != len(lattices):
+    if len(references) != len(batch.files):
+        for _ in batch:     # every failed file still gets its line
+            pass
+        if batch.status:
+            return batch.status
         raise LatbeamError(f"{args.refs}: {len(references)} references "
-                           f"for {len(lattices)} lattices")
-    result = tune_grid(lattices, references, scorer, grid, beam=args.beam,
-                       local_softmax=args.local_softmax)
+                           f"for {len(batch.files)} lattices")
+    # tune_grid decodes each lattice as it is read; once a file has
+    # failed, the rest are read only for their errors
+    lattices = (lattice for _, lattice in batch if not batch.status)
+    try:
+        result = tune_grid(lattices, references, scorer, grid, beam=args.beam,
+                           local_softmax=args.local_softmax)
+    except ConfigError:
+        if not batch.status:
+            raise
+        # a file failed, so fewer lattices than references reached tune_grid
+        return batch.status
     if args.json:
         print(json.dumps({"lambda_lat": result.lambda_lat,
                           "lambda_scorer": result.lambda_scorer,

@@ -151,6 +151,8 @@ def decode(lattice: PosteriorLattice, scorer,
         arcs = lattice.successors(state)
         logprob = pred.logprob
         norm = local_log_norm(pred, [arc.label for arc in arcs]) if renormalize else 0.0
+        if norm == NEG_INF:  # no mass to renormalize: each term stays -inf, not NaN
+            norm = 0.0
         steps = []
         for label, weight, dst in arcs:  # weight is the negative conditional log-probability
             step = _joint(lambda_lat, -weight, lambda_scorer, logprob(label) - norm)

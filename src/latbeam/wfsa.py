@@ -77,6 +77,15 @@ class SymbolTable:
         except KeyError as exc:
             raise UnknownSymbolError(f"unknown symbol id {exc.args[0]}") from None
 
+    def ids_of(self, syms) -> list[int]:
+        """The ids of a sequence of symbols, one dict lookup each: the
+        mirror of spell. It adds no symbol, even to an open table; an
+        unknown one raises UnknownSymbolError as id_of does."""
+        try:
+            return list(map(self._by_sym.__getitem__, syms))
+        except KeyError as exc:
+            raise UnknownSymbolError(f"unknown symbol {exc.args[0]!r}") from None
+
     def ids(self):
         """All non-epsilon ids, ascending."""
         return sorted(i for i in self._by_id if i != EPS)

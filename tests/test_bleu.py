@@ -2,6 +2,7 @@
 
 import math
 import random
+import weakref
 
 import pytest
 
@@ -190,10 +191,12 @@ class TestTuneGrid:
             tune_grid([lat], [(A, B)], Broken({A, B, C}), grid=[0.5])
 
     def test_rejects_length_mismatch(self):
+        # a list is counted before any decode, an iterator after the last
         lat = prepare(two_path_lattice())
-        with pytest.raises(ValueError, match="differ"):
-            tune_grid([lat, lat], [(A, B)], UniformScorer({A, B, C}),
-                      grid=[1.0])
+        for lattices in ([lat, lat], iter([lat, lat])):
+            with pytest.raises(ValueError, match="differ"):
+                tune_grid(lattices, [(A, B)], UniformScorer({A, B, C}),
+                          grid=[1.0])
 
     def test_length_mismatch_is_a_config_error(self):
         lat = prepare(two_path_lattice())
@@ -229,3 +232,26 @@ class TestTuneGrid:
             cfg = DecoderConfig(lambda_lat=lam, lambda_scorer=1.0)
             hyps = [decode(lat, scorer, cfg).best.prefix for lat in lattices]
             assert score == corpus_bleu(hyps, demo.references).score
+
+    def test_generator_lattices_are_let_go(self):
+        demo = build_demo(seed=13, n_sentences=8)
+        scorer = UniformScorer(set(demo.symbols.ids()))
+        grid = [0.0, 0.5, 1.0]
+        refs = []
+        alive = []  # before each lattice is built: those yielded and still alive
+
+        def lattices():
+            for raw in demo.lattices:
+                alive.append(sum(r() is not None for r in refs))
+                lattice = prepare(raw)
+                refs.append(weakref.ref(lattice))
+                yield lattice
+
+        result = tune_grid(lattices(), demo.references, scorer, grid=grid)
+        # the one yielded last may still be bound while the next is built,
+        # so at most two are alive at once
+        assert max(alive) <= 1
+        held = tune_grid([prepare(raw) for raw in demo.lattices], demo.references,
+                         scorer, grid=grid)
+        assert result.history == held.history
+        assert result.lambda_lat == held.lambda_lat

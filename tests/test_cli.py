@@ -7,9 +7,11 @@ import json
 import math
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -243,6 +245,78 @@ class TestPinnedOutput:
         h = hashlib.sha256(captured.out.encode())
         h.update(captured.err.encode())
         assert h.hexdigest() == digest
+
+
+class TestRescoreContract:
+    """rescore holds one list at a time in tuples, reads lists in any id
+    order, and writes nothing unless every list passes."""
+
+    def test_reader_keeps_few_bytes_per_token(self, ws, tmp_path):
+        # the lists wait as array columns; tuples of ints took about 20
+        # bytes a token
+        symbols = parse_symbols((ws / "symtab.txt").read_text())
+        words = [symbols.sym_of(i) for i in symbols.ids()]
+        rng = random.Random(5)
+        path = tmp_path / "big.nbest"
+        n_tokens = 0
+        with open(path, "w", encoding="utf-8") as fh:
+            for ident in range(50):
+                for rank in range(100):
+                    # the first two tokens spell the rank: entries stay distinct
+                    tokens = [words[rank % len(words)], words[rank // len(words)]]
+                    tokens += rng.choices(words, k=rng.randint(4, 14))
+                    n_tokens += len(tokens)
+                    fh.write(f"{ident:03d} ||| {' '.join(tokens)} ||| {-0.01 * rank!r}\n")
+        tracemalloc.start()
+        try:
+            lists = iter(cli._read_nbest_file(path, symbols))
+            first = next(lists)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.source_id == "000" and len(first) == 100
+        assert held / n_tokens < 8
+
+    def test_list_order_does_not_change_output(self, ws, nbest_file, tmp_path, capsys):
+        lines = nbest_file.read_text().splitlines(keepends=True)
+        # as `sort -s -k1,1r`: ids descending, each id's entries in file order
+        reversed_file = tmp_path / "reversed.nbest"
+        reversed_file.write_text("".join(sorted(
+            lines, key=lambda line: line.split("|||")[0].strip(), reverse=True)))
+        assert reversed_file.read_text() != nbest_file.read_text()
+        model = ["--symtab", str(ws / "symtab.txt"), "--scorer", "ngram",
+                 "--model", str(ws / "model.txt")]
+        for flags in ([], ["--json", "--mode", "naive"]):
+            runs = []
+            for path in (nbest_file, reversed_file):
+                out = tmp_path / "best.txt"
+                assert main(["rescore", str(path), *model, *flags, "--out", str(out)]) == 0
+                runs.append((out.read_bytes(), capsys.readouterr()))
+            assert runs[0] == runs[1]
+            assert runs[0][0].count(b"\n") == 6
+
+    def test_bad_list_after_good_one_writes_nothing(self, ws, tmp_path):
+        symbols = parse_symbols((ws / "symtab.txt").read_text())
+        a, b = (symbols.sym_of(i) for i in symbols.ids()[:2])
+        nbest = tmp_path / "bad.nbest"
+        # 001 comes first in the file but is rescored after 000
+        nbest.write_text(f"001 ||| {a} ||| -0.5\n001 ||| {a} ||| -0.7\n"
+                         f"000 ||| {b} ||| -0.5\n")
+        out = tmp_path / "best.txt"
+        proc = run_cli("rescore", nbest, "--symtab", ws / "symtab.txt", "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"latbeam: {nbest}: list 001: duplicate")
+        assert len(proc.stderr.splitlines()) == 1
+        assert out.read_text() == ""
+
+    def test_symbol_id_beyond_64_bits_is_one_line_error(self, tmp_path):
+        # the id column is an array of at most 64 bits a token
+        (tmp_path / "symtab.txt").write_text(f"<eps> 0\na 1\nbig {2**64}\n")
+        nbest = tmp_path / "big.nbest"
+        nbest.write_text("x ||| a ||| -0.5\nx ||| big ||| -0.9\n")
+        proc = run_cli("rescore", nbest, "--symtab", tmp_path / "symtab.txt")
+        assert proc.returncode == 1
+        assert proc.stderr == f"latbeam: {nbest}: line 2: symbol id beyond 64 bits\n"
 
 
 class TestScoredPipelines:
@@ -700,6 +774,25 @@ class TestPerFileContract:
         assert captured.err.splitlines() == ["002b: no final state"]
 
 
+    def test_tune_unreadable_lattice_prints_only_its_error(self, ws, tmp_path, capsys):
+        # as many references as files, so the lattices before 002 are
+        # decoded; after it fails the rest are only read, for 004's error
+        latdir = tmp_path / "lats"
+        latdir.mkdir()
+        for f in (ws / "pushed").glob("*.lat"):
+            (latdir / f.name).write_bytes(f.read_bytes())
+        for ident in ("002", "004"):
+            arcs = [line for line in (latdir / f"{ident}.lat").read_text().splitlines()
+                    if len(line.split()) == 4]
+            (latdir / f"{ident}.lat").write_text("\n".join(arcs) + "\n")
+        assert main(["tune", str(latdir), str(ws / "refs.txt"),
+                     "--symtab", str(ws / "symtab.txt"), "--scorer", "ngram",
+                     "--model", str(ws / "model.txt"), "--grid", "0:1:0.5", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["002: no final state", "004: no final state"]
+
+
 class TestScorerVocabulary:
     """Words only a scorer file knows never widen the lattice vocabulary."""
 
@@ -730,6 +823,53 @@ class TestScorerVocabulary:
         where = {"rescore": f"latbeam: {oov / 'hyps.nbest'}: line 1: "}
         assert line.startswith(where.get(command, "000: "))
 
+
+
+def strict_json(line):
+    """json.loads that refuses NaN and Infinity, which JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
+class TestNonFiniteScores:
+    """A best score that is not finite fails its sentence or list; --json
+    never prints NaN or Infinity."""
+
+    @pytest.fixture(scope="class")
+    def zero(self, tmp_path_factory):
+        """Lattice x, whose tokens a and b the table scorer gives no mass,
+        lattice y, whose token z it gives half, and an n-best file of both."""
+        root = tmp_path_factory.mktemp("zero")
+        (root / "symtab.txt").write_text("<eps> 0\na 1\nb 2\nz 3\n")
+        (root / "raw").mkdir()
+        (root / "raw" / "x.lat").write_text("0 1 a 0.5\n0 1 b 0.7\n1\n")
+        (root / "raw" / "y.lat").write_text("0 1 z 0.5\n1\n")
+        assert main(["push", str(root / "raw"), str(root / "pushed"),
+                     "--symtab", str(root / "symtab.txt")]) == 0
+        half = math.log(0.5)
+        (root / "table.txt").write_text(
+            f"| a:-inf b:-inf z:{half!r} <unk>:-inf </s>:{half!r}\n")
+        (root / "hyps.nbest").write_text(
+            "y ||| z ||| -0.1\nx ||| a ||| -0.5\nx ||| b ||| -0.9\n")
+        return root
+
+    @pytest.mark.parametrize("flags", [[], ["--local-softmax"]])
+    def test_decode_fails_the_sentence(self, zero, flags):
+        proc = run_cli("decode", zero / "pushed", "--symtab", zero / "symtab.txt",
+                       "--scorer", "table", "--model", zero / "table.txt", "--json", *flags)
+        assert proc.returncode == 1
+        (row,) = map(strict_json, proc.stdout.splitlines())
+        assert row["id"] == "y" and row["tokens"] == ["z"]
+        assert error_lines(proc.stderr) == ["x: best score is -inf, not finite"]
+
+    def test_rescore_fails_with_one_line(self, zero):
+        proc = run_cli("rescore", zero / "hyps.nbest", "--symtab", zero / "symtab.txt",
+                       "--scorer", "table", "--model", zero / "table.txt", "--json")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (f"latbeam: {zero / 'hyps.nbest'}: list x: "
+                               "best score is -inf, not finite\n")
 
 
 class TestCollector:

@@ -250,6 +250,20 @@ class TestJointStep:
             assert scorer.logprob_calls[0] <= 2 * k
             assert scorer.logprob_calls[1:] == [0]
 
+    def test_local_softmax_zero_mass_state_stays_minus_inf(self):
+        # no token out of the start state has scorer mass, so the norm is
+        # -inf; the steps stay -inf, where -inf minus the norm is NaN
+        w = Wfsa()
+        w.add_arc(0, A, 0.5, 1)
+        w.add_arc(0, B, 0.7, 1)
+        w.set_final(1)
+        row = Prediction({A: -math.inf, B: -math.inf, C: math.log(0.5)},
+                         -math.inf, math.log(0.5))
+        scorer = TableScorer({(): row}, vocab={A, B, C})
+        for flag in (False, True):
+            result = decode(prepare(w), scorer, DecoderConfig(local_softmax=flag))
+            assert result.best.score == -math.inf
+
 
 class TestLocalLogNorm:
     def test_oov_arcs_each_contribute_unk_mass(self):
@@ -479,8 +493,8 @@ class TestDecode:
         for lat in lattices:
             check(lat, model)
         # no scorer mass on any lattice token: under local softmax every
-        # step scores -inf minus a -inf norm, NaN, and only finishing
-        # stays finite
+        # step would score -inf minus a -inf norm, NaN; decode keeps it at
+        # -inf, and only finishing stays finite
         for lat in (lattices[0], lattices[-1]):
             tokens = vocabulary(lat)
             spare = max(tokens) + 1
