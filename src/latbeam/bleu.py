@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .errors import BleuError, ConfigError, TuneError
 
 MAX_ORDER = 4
+ORDERS = range(1, MAX_ORDER + 1)
 
 
 def _ngrams(tokens, order: int) -> Counter:
@@ -40,41 +41,47 @@ def corpus_bleu(hypotheses, references) -> BleuReport:
     Sequences may hold any hashable tokens (strings, ids). An order whose
     denominator is zero counts as zero precision, which zeroes the score;
     identical corpora score exactly 1.0. Unequal counts and an empty
-    corpus raise BleuError, which is also a ValueError.
+    corpus raise BleuError, which is also a ValueError. A reference's
+    n-grams are counted one order at a time, next to the hypothesis's
+    n-grams of that order, and let go before the next order is counted.
     """
-    return _corpus_bleu(hypotheses, _count_references(references))
+    refs = [tuple(ref) for ref in references]
+    return _corpus_bleu(hypotheses, [len(ref) for ref in refs],
+                        lambda i, n: _ngrams(refs[i], n))
 
 
 def _count_references(references) -> list[tuple[int, list[Counter]]]:
     """The length and the n-gram counts, orders 1 to MAX_ORDER, of each
     reference: what BLEU reads of them, counted once for any number of
     hypothesis sets."""
-    return [(len(ref), [_ngrams(ref, n) for n in range(1, MAX_ORDER + 1)])
+    return [(len(ref), [_ngrams(ref, n) for n in ORDERS])
             for ref in map(tuple, references)]
 
 
-def _corpus_bleu(hypotheses, counted) -> BleuReport:
-    """corpus_bleu against references counted by _count_references."""
+def _clipped(hyp_counts: Counter, ref_counts: Counter) -> int:
+    """Matches of one order, each n-gram's clipped to the reference's
+    count of it; both Counters are let go when it returns."""
+    return sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+
+
+def _corpus_bleu(hypotheses, ref_lengths: list[int], ref_ngrams) -> BleuReport:
+    """corpus_bleu against references of ref_lengths, where
+    ref_ngrams(i, n) gives the i-th reference's n-gram counts of order
+    n. One order of one sentence pair is counted at a time."""
     hyps = [tuple(h) for h in hypotheses]
-    if len(hyps) != len(counted):
-        raise BleuError(f"{len(hyps)} hypotheses against {len(counted)} references")
+    if len(hyps) != len(ref_lengths):
+        raise BleuError(f"{len(hyps)} hypotheses against {len(ref_lengths)} references")
     if not hyps:
         raise BleuError("empty corpus")
 
     matched = [0] * MAX_ORDER
     totals = [0] * MAX_ORDER
-    hyp_length = 0
-    ref_length = 0
-    for hyp, (ref_len, ref_ngrams) in zip(hyps, counted):
-        hyp_length += len(hyp)
-        ref_length += ref_len
-        for n in range(1, MAX_ORDER + 1):
-            hyp_counts = _ngrams(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = ref_ngrams[n - 1]
-            totals[n - 1] += sum(hyp_counts.values())
-            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    for i, hyp in enumerate(hyps):
+        for n in ORDERS:
+            totals[n - 1] += max(len(hyp) - n + 1, 0)
+            matched[n - 1] += _clipped(_ngrams(hyp, n), ref_ngrams(i, n))
+    hyp_length = sum(map(len, hyps))
+    ref_length = sum(ref_lengths)
 
     precisions = tuple(m / t if t else 0.0 for m, t in zip(matched, totals))
     if hyp_length == 0:
@@ -121,6 +128,7 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
     from .decoder import DecoderConfig, decode
 
     counted = _count_references(references)
+    lengths = [length for length, _ in counted]
     if isinstance(lattices, Sized) and len(lattices) != len(counted):
         raise ConfigError("development lattices and references differ in length")
     grid = sorted(grid)
@@ -141,7 +149,7 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
     best: TuneResult | None = None
     history: list[tuple[float, float]] = []
     for lam, found in zip(grid, hyps):
-        report = _corpus_bleu(found, counted)
+        report = _corpus_bleu(found, lengths, lambda i, n: counted[i][1][n - 1])
         history.append((lam, report.score))
         if best is None or report.score > best.bleu.score:
             best = TuneResult(lam, 1.0, report)

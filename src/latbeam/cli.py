@@ -367,7 +367,10 @@ def cmd_rescore(args) -> int:
 
 
 def _read_sentences(path) -> list[list[str]]:
-    return [line.split() for line in _read_text(path).splitlines()]
+    """Each line's words, with one str object for each distinct word."""
+    words: dict[str, str] = {}
+    return [[words.setdefault(w, w) for w in line.split()]
+            for line in _read_text(path).splitlines()]
 
 
 def cmd_tune(args) -> int:

@@ -3,14 +3,14 @@
 Ownership: no public function here changes its argument; each returns a
 new Wfsa, which may share the argument's Arc objects (Arcs are
 immutable). The private cores _minimize and _push_log rewrite every
-weight and consume their input instead: once it has read a row for the
-last time, _push_log empties it, and so does _minimize for each row its
-result is built from. prepare() owns its intermediates and hands them
-over; minimize and push_log hand the cores a copy with a list of rows
-of its own (_shallow). rm_epsilon and determinize's fast path put the
-input's own Arc into their output wherever it comes out unchanged:
-same label and dst, and 0.0 + weight with the same bits, which holds
-for every weight but -0.0.
+weight and consume their input instead: _push_log empties each row
+once it has rewritten it, and _minimize once it has built that state's
+signature, from which, one per class, it builds its result. prepare()
+owns its intermediates and hands them over; minimize and push_log hand
+the cores a copy with a list of rows of its own (_shallow). rm_epsilon
+and determinize's fast path put the input's own Arc into their output
+wherever it comes out unchanged: same label and dst, and 0.0 + weight
+with the same bits, which holds for every weight but -0.0.
 
 The operations compose into the standard preprocessing pipeline
 
@@ -339,11 +339,9 @@ def minimize(w: Wfsa) -> Wfsa:
 def _minimize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
     """minimize without its checks, for a deterministic trimmed w with
     the topological order given. Also returns the result's topological
-    order. Each pushed weight is computed where it is used, to class a
-    state and again for a state the result keeps, with the same
-    expression and so the same bits; the signature table is dropped
-    before the result is built. w is consumed: the row of each state
-    the result keeps is emptied once it is read."""
+    order. w is consumed: each row is emptied once its state's
+    signature is built. One signature is kept per class, and the result
+    is built from those: their weights are the result's weights."""
     potential = _potentials(w, order, semiring.plus_for(w.semiring))
     arcs, start, fold = w.arcs, w.start, potential[w.start]
     finals = {q: f - potential[q] for q, f in w.finals.items()}
@@ -356,43 +354,43 @@ def _minimize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
     # (final, label, weight, class, label, weight, class, ...).
     klass = [0] * w.num_states
     by_signature: dict[tuple, int] = {}
+    signatures: list[tuple] = []    # signatures[c]: class c's signature
     for q in reversed(order):
         p = potential[q]
         signature = [finals.get(q, INF)]
         for label, weight, dst in sorted(arcs[q]):
             signature += label, weight + potential[dst] - p, klass[dst]
+        arcs[q] = ()
         if q == start:
             signature[2::3] = [weight + fold for weight in signature[2::3]]
-        klass[q] = by_signature.setdefault(tuple(signature), len(by_signature))
-    n_classes = len(by_signature)
-    del by_signature
+        signature = tuple(signature)
+        c = klass[q] = by_signature.setdefault(signature, len(signatures))
+        if c == len(signatures):
+            signatures.append(signature)
+    first = klass[start]
+    del by_signature, klass, potential, finals
 
+    # classes numbered in BFS order from the start's, arcs in label order
     out = Wfsa(w.semiring)
     out_arcs = out.arcs
     out_arcs.append([])
-    renum = [-1] * n_classes
-    renum[klass[start]] = 0
-    queue = deque([start])
+    renum = [-1] * len(signatures)
+    renum[first] = 0
+    queue = deque([first])
     while queue:
-        rep = queue.popleft()
-        sid = renum[klass[rep]]
-        f = finals.get(rep, INF)
-        if f != INF:
-            out.finals[sid] = f
+        c = queue.popleft()
+        signature, signatures[c] = signatures[c], ()
+        sid = renum[c]
+        if signature[0] != INF:
+            out.finals[sid] = signature[0]
         row = out_arcs[sid]
-        p = potential[rep]
-        for label, weight, dst in sorted(arcs[rep]):
-            weight = weight + potential[dst] - p
-            if rep == start:
-                weight += fold
-            c = klass[dst]
-            nid = renum[c]
+        for label, weight, target in zip(signature[1::3], signature[2::3], signature[3::3]):
+            nid = renum[target]
             if nid < 0:
-                nid = renum[c] = len(out_arcs)
+                nid = renum[target] = len(out_arcs)
                 out_arcs.append([])
-                queue.append(dst)
+                queue.append(target)
             row.append(_new(Arc, (label, weight, nid)))
-        arcs[rep] = ()
     # descending class ids are a topological order of the classes
     return out, [nid for nid in reversed(renum) if nid >= 0]
 

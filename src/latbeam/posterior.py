@@ -13,6 +13,7 @@ import logging
 import math
 import time
 from bisect import bisect_left
+from collections.abc import Sequence
 
 from . import ops, semiring
 from .errors import (CyclicLatticeError, EmptyLatticeError, NotDeterministicError,
@@ -49,10 +50,13 @@ class PosteriorLattice:
     Construction verifies the contract (log semiring, acyclic,
     deterministic, stochastic within semiring.STOCHASTIC_TOL) and indexes
     each state's arcs by label for binary search. The index holds the
-    automaton's own Arc objects, in cost form: an arc's weight is the
-    negative conditional log-probability of its label. raw_total records
-    the weight stripped off the initial state during pushing, i.e. the
-    negative log of the raw lattice's total mass. order is the
+    automaton's own Arc objects: a row already sorted by label, as each
+    row prepare() builds or latbeam push writes is, is used as it is;
+    any other is copied into a sorted tuple, so the caller's rows are
+    never sorted or changed. Arcs are in cost form: an arc's weight is
+    the negative conditional log-probability of its label. raw_total
+    records the weight stripped off the initial state during pushing,
+    i.e. the negative log of the raw lattice's total mass. order is the
     topological order of the states that verification computed.
     """
 
@@ -69,11 +73,15 @@ class PosteriorLattice:
         for q, f in inner.finals.items():
             final_logprob[q] = -f
         # one label sort per state checks determinism (labels strictly
-        # increasing, none epsilon) and orders the lookup index
-        rows: list[tuple[Arc, ...]] = [()] * n
+        # increasing, none epsilon) and orders the lookup index; a row
+        # already in that order is the index itself, any other a tuple
+        rows: list[Sequence[Arc]] = [()] * n
         depth = [0] * n
         for q in reversed(order):
-            row = tuple(sorted(inner.arcs[q]))
+            row = inner.arcs[q]
+            ordered = sorted(row)
+            if not row or ordered != row:
+                row = tuple(ordered)
             prev, d = EPS, 0
             for label, _, dst in row:
                 if label == prev or label == EPS:
@@ -101,9 +109,11 @@ class PosteriorLattice:
     def num_states(self) -> int:
         return self.inner.num_states
 
-    def successors(self, state: int) -> tuple[Arc, ...]:
+    def successors(self, state: int) -> Sequence[Arc]:
         """The state's outgoing arcs sorted by label; each weight is the
-        negative conditional log-probability of its label."""
+        negative conditional log-probability of its label: the
+        automaton's own row when it is already sorted, else a sorted
+        tuple (() for no arcs). Callers must not change it."""
         return self._rows[state]
 
     def arc_for(self, state: int, token: int) -> Arc | None:
@@ -176,9 +186,12 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     after epsilon removal unless the caller keeps it). Epsilon removal
     and determinize's fast path put every arc that comes out unchanged
     into their output as it is, so an output shares most of its input's
-    arcs. Minimize and push rewrite every weight; each empties the rows
-    of its input as it builds its output, and nothing of the minimized
-    automaton is left when verification starts.
+    arcs. Minimize and push rewrite every weight and empty the rows of
+    their input as they go: minimize each row once its state's
+    signature is built, before its result exists, and push each row
+    once it is rewritten. Nothing of the minimized automaton is left
+    when verification starts, and verification indexes the pushed rows
+    in place.
 
     When stages is given, the wall-clock seconds of each of STAGES are
     added to it (epsilon removal is billed to determinization), so one

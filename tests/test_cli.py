@@ -333,6 +333,13 @@ class TestScoredPipelines:
         assert 0.0 <= record["bleu"] <= 1.0
         assert len(record["precisions"]) == 4
 
+    def test_sentences_hold_one_str_per_distinct_word(self, tmp_path):
+        path = tmp_path / "refs.txt"
+        path.write_text("the cat sat\n\nthe  cat on the mat\n", encoding="utf-8")
+        sents = cli._read_sentences(path)
+        assert sents == [["the", "cat", "sat"], [], ["the", "cat", "on", "the", "mat"]]
+        assert len({id(w) for sent in sents for w in sent}) == 5
+
     def test_tune_command(self, ws, capsys):
         assert main(["tune", str(ws / "pushed"), str(ws / "refs.txt"),
                      "--symtab", str(ws / "symtab.txt"),

@@ -3,6 +3,7 @@ pushing, and the path-enumeration oracles they are checked against."""
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,6 +37,7 @@ from latbeam.ops import (
     rm_epsilon,
 )
 from latbeam.posterior import prepare
+from latbeam.synth import sausage_lattice
 from latbeam.semiring import INF
 from latbeam.wfsa import EPS, Arc, Wfsa, serialize_wfsa, topological_order
 
@@ -420,6 +422,46 @@ class TestMinimize:
             assert set(got) == set(want)
             for s, cost in want.items():
                 assert got[s] == pytest.approx(cost, abs=1e-9)
+
+
+class TestMinimizeConsumes:
+    def test_every_input_row_is_emptied(self):
+        # states 1 and 2, 3 and 4, 5 and 6 merge: the rows of the states
+        # the result is not built from are emptied too
+        w = Wfsa()
+        w.add_arc(0, A, 0.1, 1)
+        w.add_arc(0, B, 0.2, 2)
+        w.add_arc(1, C, 0.3, 3)
+        w.add_arc(2, C, 0.3, 4)
+        w.add_arc(3, D, 0.4, 5)
+        w.add_arc(4, D, 0.4, 6)
+        w.set_final(5)
+        w.set_final(6)
+        want = minimize(w)
+        out, order = ops._minimize(w, topological_order(w))
+        assert all(row == () for row in w.arcs)
+        assert (out.arcs, out.finals) == (want.arcs, want.finals)
+        assert_topological(out, order)
+
+    def test_traced_peak_stays_under_half_its_input(self):
+        # inside prepare: the input is all that is alive. With one
+        # signature kept per class and each row emptied once its
+        # signature is built, minimize peaks at 0.13 times its input
+        # above it (CPython 3.11); keeping the signature table and the
+        # input rows until the result was rebuilt took 0.64 times
+        tracemalloc.start()
+        try:
+            work = ops.rm_epsilon(sausage_lattice(4000, seed=13).retagged(semiring.LOG))
+            work, order = ops._determinize(work, ops._require_acyclic(work, "determinize"))
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out, _ = ops._minimize(work, order)
+            peak = tracemalloc.get_traced_memory()[1] - size
+        finally:
+            tracemalloc.stop()
+        assert out.num_states == work.num_states
+        assert all(row == () for row in work.arcs)
+        assert peak < 0.5 * size
 
 
 class TestPushLog:

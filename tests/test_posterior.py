@@ -19,7 +19,8 @@ from latbeam.errors import (
 from latbeam.ops import determinize, minimize, push_log, rm_epsilon
 from latbeam.posterior import REJECT, STAGES, PosteriorLattice, prepare
 from latbeam.synth import build_demo, sausage_lattice
-from latbeam.wfsa import EPS, SymbolTable, Wfsa, serialize_wfsa, topological_order
+from latbeam.wfsa import (EPS, SymbolTable, Wfsa, parse_wfsa, serialize_wfsa,
+                          topological_order)
 
 from generators import random_acyclic_wfsa, symbols_from_tokens, vocabulary
 from oracles import enumerate_paths
@@ -267,9 +268,12 @@ class TestPrepareMemory:
         # The test holds the raw lattice, as a library caller does, so the
         # peak counts it whatever the interpreter does with call
         # arguments. With unchanged arcs shared between stages, rows
-        # emptied as minimize and push rewrite them, flat signatures and
-        # flat reverse arcs in the trim, the peak is 2.42 times the raw
-        # lattice's own size (2.46 on Python 3.10). With each stage's
+        # emptied as minimize and push rewrite them, minimize's result
+        # built from one flat signature per class, sorted rows indexed in
+        # place and flat reverse arcs in the trim, the peak is 2.24 times
+        # the raw lattice's own size (2.27 on Python 3.10); it was 2.42
+        # while minimize kept its input until the result was rebuilt
+        # and verification copied every row into a tuple. With each stage's
         # input and output whole side by side it was 3.18 to 3.31 times;
         # trimming through state-id sets and keeping minimize's pushed
         # rows and signature table next to its result made it 4.55 times.
@@ -332,6 +336,19 @@ class TestValidation:
         w.set_final(2)
         with pytest.raises(NotDeterministicError):
             PosteriorLattice(w)
+
+    @pytest.mark.parametrize("labels", [(B, A, B), (B, EPS)])
+    def test_rejects_out_of_order_or_epsilon_rows(self, labels):
+        # a row out of label order is sorted, then checked again
+        w = Wfsa(semiring.LOG)
+        cost = -math.log(1 / len(labels))
+        for dst, label in enumerate(labels, start=1):
+            w.add_arc(0, label, cost, dst)
+            w.set_final(dst)
+        row = list(w.arcs[0])
+        with pytest.raises(NotDeterministicError):
+            PosteriorLattice(w)
+        assert w.arcs[0] == row
 
     def test_rejects_epsilon_arc(self):
         # stochastic and single-labelled, but the label is epsilon
@@ -417,6 +434,24 @@ class TestQueries:
                 assert len(row) == len(own)
                 assert all(id(arc) in own for arc in row)
                 assert all(a.label < b.label for a, b in zip(row, row[1:]))
+
+    def test_label_sorted_rows_are_shared(self):
+        # what prepare() builds and what latbeam push writes is sorted by
+        # label, so the index is the automaton's own rows
+        symbols = SymbolTable()
+        for i in range(1, 41):
+            symbols.add(f"t{i:02d}")
+        pushed = prepare(sausage_lattice(300, seed=13))
+        text = serialize_wfsa(pushed.inner, symbols)
+        reread = PosteriorLattice(parse_wfsa(text, symbols, semiring_tag=semiring.LOG))
+        demo = build_demo(seed=13, n_sentences=20)
+        for lat in [pushed, reread] + [prepare(w) for w in demo.lattices]:
+            for state in range(lat.num_states):
+                row = lat.inner.arcs[state]
+                if row:
+                    assert lat.successors(state) is row
+                else:
+                    assert lat.successors(state) == ()
 
     def test_construction_leaves_inner_arcs_unsorted(self):
         w = Wfsa(semiring.LOG)
