@@ -17,9 +17,12 @@ hypotheses with equal lattice and scorer states share one scorer
 predict call and one expansion, and survivors with equal scorer states
 and tokens share one consume call; equal states have equal futures, so
 this changes no score. The search calls consume only for hypotheses
-that survive the beam, when they are expanded, and reads prefixes back
-through parent pointers. It has no step cap: it ends within the
-lattice's depth + 1 iterations (see decode).
+that survive the beam, when they are expanded. A hypothesis holds its
+prefix as a back-pointer node, (parent node, token) with () at the
+root, as ops._n_shortest's heap entries do, so the whole beam's history
+costs one tuple per token and each prefix is spelled only when read. It
+has no step cap: it ends within the lattice's depth + 1 iterations (see
+decode).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from operator import itemgetter
 from typing import Any
 
 from .errors import ConfigError
+from .ops import _spell
 from .posterior import PosteriorLattice
 from .scorers import Prediction, logsumexp
 
@@ -38,9 +42,10 @@ NEG_INF = -math.inf
 
 
 def check_lambdas(lambda_lat: float, lambda_scorer: float) -> None:
-    """Both weights non-negative and at least one positive, else ConfigError."""
-    if not (lambda_lat >= 0 and lambda_scorer >= 0):
-        raise ConfigError("lambdas must be non-negative")
+    """Both weights finite and non-negative and at least one positive,
+    else ConfigError."""
+    if not (0 <= lambda_lat < math.inf and 0 <= lambda_scorer < math.inf):
+        raise ConfigError("lambdas must be finite and non-negative")
     if lambda_lat == 0 and lambda_scorer == 0:
         raise ConfigError("at least one lambda must be positive")
 
@@ -60,22 +65,19 @@ class DecoderConfig:
 
 @dataclass(slots=True, eq=False)
 class Hypothesis:
-    """A search node; its prefix is read back through parent pointers."""
+    """A search node. node is its prefix as a back-pointer node:
+    (parent node, last token), or () for the empty prefix. repr leaves
+    it out, since a long prefix nests deeper than repr can recurse."""
 
     score: float
     lattice_state: int
     scorer_state: Any
-    parent: Hypothesis | None = field(default=None, repr=False)
-    token: int | None = None
+    node: tuple = field(default=(), repr=False)
     finished: bool = False
 
     @property
     def prefix(self) -> tuple[int, ...]:
-        tokens, hyp = [], self
-        while hyp.parent is not None:
-            tokens.append(hyp.token)
-            hyp = hyp.parent
-        return tuple(reversed(tokens))
+        return _spell(self.node)
 
 
 @dataclass(slots=True)
@@ -84,8 +86,8 @@ class DecodeResult:
     live hypotheses expanded.
 
     A hypothesis consumes its last token only when it is expanded, so an
-    unfinished entry of the final beam, never expanded, holds its
-    parent's scorer_state: the state before its last token.
+    unfinished entry of the final beam, never expanded, holds the
+    scorer_state from before its last token.
     """
 
     best: Hypothesis
@@ -170,8 +172,8 @@ def decode(lattice: PosteriorLattice, scorer,
         consumed = {}  # (scorer state, token) -> consume(...), this step
         expanded = {}  # (lattice state, scorer state) -> expand(...), this step
         for rank, (lex, hyp) in enumerate(live):
-            if hyp.parent is not None:  # its token is consumed now, not at survival
-                pair = (hyp.scorer_state, hyp.token)
+            if hyp.node:  # its last token is consumed now, not at survival
+                pair = (hyp.scorer_state, hyp.node[1])
                 if pair not in consumed:
                     consumed[pair] = scorer.consume(*pair)
                 hyp.scorer_state = consumed[pair]
@@ -181,9 +183,9 @@ def decode(lattice: PosteriorLattice, scorer,
             steps, end = expanded[key]
             for token, step, state in steps:
                 candidates.append((-(hyp.score + step), length + 1, (rank, token), hyp, state))
-            if end is not None:  # finishing keeps hyp's prefix: same parent and token
+            if end is not None:  # finishing keeps hyp's prefix: the same node
                 fin = Hypothesis(hyp.score + end, hyp.lattice_state, hyp.scorer_state,
-                                 hyp.parent, hyp.token, True)
+                                 hyp.node, True)
                 candidates.append((-fin.score, length, lex, fin, None))
         expansions += len(live)
         candidates.sort()
@@ -194,7 +196,7 @@ def decode(lattice: PosteriorLattice, scorer,
                 done.append(cand)
             else:
                 # the parent's scorer state, until this one is expanded
-                hyp = Hypothesis(-neg, state, hyp.scorer_state, hyp, lex[1])
+                hyp = Hypothesis(-neg, state, hyp.scorer_state, (hyp.node, lex[1]))
                 live.append((lex, hyp))
             beam.append(hyp)
         if beam[0].finished:

@@ -1,16 +1,22 @@
 """Algorithms over acyclic weighted acceptors.
 
 Ownership: no public function here changes its argument; each returns a
-new Wfsa, which may share the argument's Arc objects (Arcs are
-immutable). The private cores _minimize and _push_log rewrite every
-weight and consume their input instead: _push_log empties each row
-once it has rewritten it, and _minimize once it has built that state's
-signature, from which, one per class, it builds its result. prepare()
-owns its intermediates and hands them over; minimize and push_log hand
-the cores a copy with a list of rows of its own (_shallow). rm_epsilon
-and determinize's fast path put the input's own Arc into their output
-wherever it comes out unchanged: same label and dst, and 0.0 + weight
-with the same bits, which holds for every weight but -0.0.
+new Wfsa, with row lists of its own, which may share the argument's Arc
+objects (Arcs are immutable). The private cores own their input
+instead, and prepare() owns its intermediates and hands them over.
+_rm_epsilon sorts in place each row that merging would give back as it
+is (no repeated (label, dst), and every weight finite and not -0.0,
+since the stage writes 0.0 + weight) and makes that list a row of its
+result. _determinize returns its input itself when its fast path would
+renumber no state and rewrite no weight. _minimize and _push_log
+rewrite every weight and empty the rows of their input: _push_log each
+row once it has rewritten it, _minimize each row once it has built
+that state's signature, from which, one per class, it builds its
+result. rm_epsilon hands its core a copy (Wfsa.copy), minimize and
+push_log a list of rows of their own (_shallow), and determinize
+returns a copy when its core returns its input. rm_epsilon and
+determinize's fast path put the input's own Arc into their output
+wherever it comes out unchanged.
 
 The operations compose into the standard preprocessing pipeline
 
@@ -22,15 +28,17 @@ log-probabilities. Arcs are Arc NamedTuples that unpack as
 (label, weight, dst); the loops here unpack them rather than read
 attributes. Each stage writes its output arcs once, straight into the
 arc lists, and skips work its input does not need: rm_epsilon builds
-no closure for epsilon-free input, where it only merges parallel arcs;
-determinize only renumbers the accessible states in BFS order when its
-input is already deterministic (with finite arc weights); and the trim
-returns its input when it drops nothing. There is one trim (_connect),
-shared by connect, rm_epsilon (on its output), minimize (on its input)
-and so prepare(): it marks accessible and coaccessible states in
-bytearrays, which works on cyclic input, and renumbers the kept states
-in ascending order. determinize, minimize and push_log are checked
-wrappers around private cores; prepare() checks its input once and
+no closure for epsilon-free input, where it only merges parallel arcs
+and drops arcs of infinite cost; determinize only renumbers the
+accessible states in BFS order when its input is already deterministic
+(with finite arc weights), and returns its input when that changes
+nothing; and the trim returns its input when it drops nothing. There
+is one trim (_connect), shared by connect, rm_epsilon (on its output),
+minimize (on its input) and so prepare(): it marks accessible and
+coaccessible states in bytearrays, which works on cyclic input, and
+renumbers the kept states in ascending order. rm_epsilon, determinize,
+minimize and push_log are wrappers around private cores, the last
+three checked; prepare() checks its input once and
 chains the cores, handing each the topological order the stage before
 it already knows. minimize, push_log and n_shortest_strings share one
 shortest-distance pass (_potentials), differing only in the semiring
@@ -43,6 +51,7 @@ from collections import deque
 from heapq import heappop, heappush, heappushpop
 from itertools import compress, count
 from math import copysign
+from operator import itemgetter
 
 from . import semiring
 from .errors import (
@@ -127,14 +136,33 @@ def _connect(w: Wfsa) -> Wfsa:
     return out
 
 
+def _as_is(weight: float) -> bool:
+    """Whether a stage that writes 0.0 + weight writes weight itself, and
+    it is finite: every weight but -0.0, the infinities and NaN."""
+    return -INF < weight < INF and (weight != 0.0 or copysign(1.0, weight) > 0.0)
+
+
 def rm_epsilon(w: Wfsa) -> Wfsa:
     """Remove epsilon arcs, preserving the weighted language exactly.
 
     Costs over parallel epsilon routes combine with the automaton's own
     addition (min for tropical, log_add for log), as do any parallel
-    same-label arcs the rewrite creates. Epsilon cycles are rejected.
-    The result is trimmed.
+    same-label arcs the rewrite creates. Arcs of infinite cost carry no
+    mass and are dropped. Epsilon cycles are rejected. The result is
+    trimmed and shares no row list with w.
     """
+    return _rm_epsilon(w.copy())
+
+
+_LABEL_DST = itemgetter(0, 2)
+
+
+def _rm_epsilon(w: Wfsa) -> Wfsa:
+    """rm_epsilon on a w it owns: a row of w may be sorted in place and
+    become a row of the result. That is each row of an epsilon-free
+    state that repeats no (label, dst) and whose weights are all _as_is:
+    merging it would give back its own arcs, in (label, dst) order.
+    Every other row is merged into a new one."""
     plus = semiring.plus_for(w.semiring)
     arcs, finals = w.arcs, w.finals
     # closure[q]: total epsilon cost from q to every state it can reach
@@ -159,33 +187,17 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
             closure[q] = acc
 
     out = Wfsa(w.semiring)
-    out.ensure_state(w.num_states - 1)
     out.start = w.start
     for src in range(w.num_states):
+        row = arcs[src]
         reach = sorted(closure[src].items()) if closure[src] else ()
-        # the output arc of each (label, dst). INF is the identity of both
-        # additions, so the first arc of a key keeps its cost and only a
-        # parallel duplicate adds. A direct arc's cost is 0.0 + weight,
-        # the input arc's own weight except for -0.0, so the input Arc
-        # itself goes out unless a duplicate merges into it.
-        merged: dict[tuple[int, int], Arc] = {}
-        for arc in arcs[src]:
-            label, weight, dst = arc
-            key = (label, dst)
-            if key in merged:
-                merged[key] = _new(Arc, (label, plus(merged[key][1], 0.0 + weight), dst))
-            elif weight or copysign(1.0, weight) > 0.0:
-                merged[key] = arc
-            else:
-                merged[key] = _new(Arc, (label, 0.0 + weight, dst))
-        for via, cost in reach:
-            for label, weight, dst in arcs[via]:
-                key = (label, dst)
-                if key in merged:
-                    merged[key] = _new(Arc, (label, plus(merged[key][1], cost + weight), dst))
-                else:
-                    merged[key] = _new(Arc, (label, cost + weight, dst))
-        out.arcs[src] = [merged[key] for key in sorted(merged)]
+        if not reach:
+            # stable, so the arcs of one (label, dst) keep the order their
+            # costs add in, here and wherever another state reads this row
+            row.sort(key=_LABEL_DST)
+        if reach or not _merges_to_itself(row):
+            row = _merged(row, reach, arcs, plus)
+        out.arcs.append(row)
         final = finals.get(src, INF)
         for via, cost in reach:
             f = finals.get(via, INF)
@@ -194,6 +206,53 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
         if final != INF:
             out.finals[src] = final
     return _connect(out)
+
+
+def _merges_to_itself(row: list[Arc]) -> bool:
+    """Whether a row sorted by (label, dst) repeats no (label, dst) and
+    has only weights that are _as_is."""
+    prev_label = prev_dst = -1
+    for label, weight, dst in row:
+        if label == prev_label and dst == prev_dst or not _as_is(weight):
+            return False
+        prev_label, prev_dst = label, dst
+    return True
+
+
+def _merged(row: list[Arc], reach, arcs: list[list[Arc]], plus) -> list[Arc]:
+    """One arc of each (label, dst) out of a state, in (label, dst) order,
+    from its direct arcs (row) and then, for each (via, epsilon cost) in
+    reach, via's arcs at that cost. Parallel costs add with plus, and a
+    key whose cost is infinite is dropped.
+
+    INF is the identity of both additions, so the first arc of a key keeps
+    its cost and only a parallel duplicate adds, and an infinite cost can
+    be skipped. A direct arc's cost is 0.0 + weight, the input arc's own
+    weight when it is _as_is, so the input Arc itself goes out unless a
+    duplicate merges into it."""
+    merged: dict[tuple[int, int], Arc] = {}
+    for arc in row:
+        label, weight, dst = arc
+        if weight == INF:
+            continue
+        key = (label, dst)
+        if key in merged:
+            merged[key] = _new(Arc, (label, plus(merged[key][1], 0.0 + weight), dst))
+        elif _as_is(weight):
+            merged[key] = arc
+        else:
+            merged[key] = _new(Arc, (label, 0.0 + weight, dst))
+    for via, cost in reach:
+        for label, weight, dst in arcs[via]:
+            total = cost + weight
+            if total == INF:
+                continue
+            key = (label, dst)
+            if key in merged:
+                merged[key] = _new(Arc, (label, plus(merged[key][1], total), dst))
+            else:
+                merged[key] = _new(Arc, (label, total, dst))
+    return [merged[key] for key in sorted(merged)]
 
 
 def determinize(w: Wfsa) -> Wfsa:
@@ -211,13 +270,16 @@ def determinize(w: Wfsa) -> Wfsa:
     """
     if w.has_epsilon():
         raise EpsilonArcError("determinize requires an epsilon-free lattice")
-    return _determinize(w, _require_acyclic(w, "determinize"))[0]
+    out = _determinize(w, _require_acyclic(w, "determinize"))[0]
+    return w.copy() if out is w else out
 
 
 def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
     """determinize without its checks, for epsilon-free w with the
     topological order given. Also returns the result's topological
-    order. An input with no states gives an empty automaton.
+    order. An input with no states gives an empty automaton, and one the
+    fast path would build again state for state and arc for arc gives
+    (w, order) itself; any other result shares no row list with w.
 
     The fast path detects determinism in its own pass. On the first
     repeated label out of a state, or the first infinite or NaN arc
@@ -227,6 +289,8 @@ def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
     """
     if not w.num_states:
         return Wfsa(w.semiring), []
+    if _renumbers_nothing(w):
+        return w, order
     arcs, finals = w.arcs, w.finals
     renum = [-1] * w.num_states
     renum[w.start] = 0
@@ -247,7 +311,7 @@ def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
             # INF is the identity of both additions, so the subset
             # construction's plus(INF, 0.0 + weight) is 0.0 + weight: the
             # input arc itself when it keeps its dst and is not -0.0
-            if nid == dst and (weight or copysign(1.0, weight) > 0.0):
+            if nid == dst and _as_is(weight):
                 row.append(arc)
             else:
                 row.append(_new(Arc, (label, 0.0 + weight, nid)))
@@ -256,6 +320,28 @@ def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
         if renum[q] >= 0 and f != INF:
             out.finals[renum[q]] = 0.0 + f
     return out, [renum[q] for q in order if renum[q] >= 0]
+
+
+def _renumbers_nothing(w: Wfsa) -> bool:
+    """Whether determinize's fast path would give back w as it is: the
+    start is 0, BFS from it numbers every state with its own id, each
+    row's labels strictly increase, and every arc and final weight is
+    _as_is. Under BFS, each state that is reached first must take the
+    next free id, and each state must be reached before its turn."""
+    if w.start != 0:
+        return False
+    numbered = 1
+    for q, row in enumerate(w.arcs):
+        if q >= numbered:
+            return False
+        prev = EPS
+        for label, weight, dst in row:
+            if label <= prev or not _as_is(weight) or dst > numbered:
+                return False
+            if dst == numbered:
+                numbered += 1
+            prev = label
+    return all(map(_as_is, w.finals.values()))
 
 
 def _subsets(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:

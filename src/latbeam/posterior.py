@@ -183,10 +183,15 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
 
     About one automaton's arcs are alive at a time. raw is let go once
     its retagged copy exists (on CPython 3.11 and later it is freed
-    after epsilon removal unless the caller keeps it). Epsilon removal
-    and determinize's fast path put every arc that comes out unchanged
-    into their output as it is, so an output shares most of its input's
-    arcs. Minimize and push rewrite every weight and empty the rows of
+    after epsilon removal unless the caller keeps it). prepare owns
+    that copy, so epsilon removal runs on it in place: each row that
+    merging would give back as it is is sorted in place and becomes a
+    row of its output, and every other arc that comes out unchanged
+    goes into its output as it is. Determinize returns its input itself
+    when its fast path would renumber no state and rewrite no weight,
+    and otherwise puts unchanged arcs into its output as they are. On a
+    long sausage no stage before minimize builds a second set of rows.
+    Minimize and push rewrite every weight and empty the rows of
     their input as they go: minimize each row once its state's
     signature is built, before its result exists, and push each row
     once it is rewritten. Nothing of the minimized automaton is left
@@ -202,7 +207,7 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     work = raw.retagged(semiring.LOG)
     del raw
     t0 = time.perf_counter()
-    work = ops.rm_epsilon(work)
+    work = ops._rm_epsilon(work)
     if not work.finals:
         raise EmptyLatticeError("lattice accepts nothing")
     work, order = ops._determinize(work, ops._require_acyclic(work, "determinize"))

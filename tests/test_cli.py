@@ -474,6 +474,7 @@ class TestFailureModes:
         ("tune", ["--grid", "0:nan:1"]),
         ("tune", ["--grid", "0:1:nan"]),
         ("tune", ["--grid", "inf"]),
+        ("decode", ["--lambda-lat", "inf"]),
     ])
     def test_invalid_decoder_setting_is_one_line_error(self, ws, command, flags):
         args = [command, ws / "pushed"]
@@ -536,7 +537,7 @@ class TestFailureModes:
             main(["train", "--help"])
         assert f"1 to {MAX_ORDER}" in " ".join(capsys.readouterr().out.split())
 
-    @pytest.mark.parametrize("lambdas", [("-1", "0"), ("0", "0")])
+    @pytest.mark.parametrize("lambdas", [("-1", "0"), ("0", "0"), ("inf", "1")])
     def test_rescore_invalid_lambdas_is_one_line_error(self, ws, tmp_path, capsys,
                                                         lambdas):
         nbest = tmp_path / "hyps.nbest"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,8 @@ from latbeam.decoder import (
     decode,
     local_log_norm,
 )
+from latbeam.errors import ConfigError
+from latbeam.ops import _spell
 from latbeam.posterior import REJECT, prepare
 from latbeam.scorers import UNK_ID, Prediction, TableScorer, UniformScorer, train_ngram
 from latbeam.synth import sausage_lattice
@@ -171,6 +174,13 @@ class TestDecoderConfig:
             DecoderConfig(lambda_lat=-1.0)
         with pytest.raises(ValueError):
             DecoderConfig(lambda_lat=0.0, lambda_scorer=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_a_lambda_that_is_not_finite(self, value):
+        # an infinite lambda would score every step inf - inf = NaN
+        for lambdas in ({"lambda_lat": value}, {"lambda_scorer": value}):
+            with pytest.raises(ConfigError, match="finite"):
+                DecoderConfig(**lambdas)
 
 
 class TestJointStep:
@@ -414,12 +424,17 @@ class TestDecode:
                         len(set(expanded)) for expanded, _ in trace)
                     # a survivor consumes its token when it is expanded,
                     # so the last step's survivors consume nothing and
-                    # keep their parent's scorer state
+                    # keep the scorer state from before their last token
                     assert scorer.consume_calls == sum(
                         len(set(consumed)) for _, consumed in trace[:-1])
                     for hyp in result.beam:
                         if not hyp.finished:
-                            assert hyp.scorer_state == hyp.parent.scorer_state
+                            parent_node, token = hyp.node
+                            assert hyp.prefix == (*_spell(parent_node), token)
+                            state = model.start()
+                            for earlier in _spell(parent_node):
+                                state = model.consume(state, earlier)
+                            assert hyp.scorer_state == state
 
     @pytest.mark.parametrize("wrapper", ["fresh-states", "fresh-predictions"])
     def test_equal_values_need_not_be_identical(self, wrapper):
@@ -537,3 +552,24 @@ class TestDecode:
             total += pred.logprob(t)
             state = scorer.consume(state, t)
         return total + scorer.predict(state).eos_logprob
+
+
+class TestDecodeMemory:
+    def test_result_holds_one_back_pointer_node_per_token(self):
+        # a hypothesis holds its prefix as (parent node, token) tuples, so
+        # the result keeps one small tuple per token; with one slotted
+        # Hypothesis per position it held 136 bytes a token
+        lat = prepare(sausage_lattice(4000, seed=13))
+        scorer = UniformScorer(set(range(1, 41)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = decode(lat, scorer, DecoderConfig(beam=2))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.best.prefix) == 4000
+        assert held / 4000 < 90
+        # repr leaves the node out: 4000 nested tuples would exceed the
+        # recursion limit
+        assert "node" not in repr(result.best)

@@ -850,3 +850,135 @@ class TestArcSharing:
         assert out.arcs[0] == [Arc(A, 0.0, 1)]
         assert math.copysign(1.0, out.arcs[0][0].weight) == 1.0
         assert out.arcs[1][0] is w.arcs[1][0]
+
+
+def shares_no_row(a: Wfsa, b: Wfsa) -> bool:
+    rows = {id(row) for row in b.arcs}
+    return not any(id(row) in rows for row in a.arcs)
+
+
+def renumbered_by_bfs() -> Wfsa:
+    """0 -A-> 2 -B-> 1: BFS numbers state 2 as 1 and state 1 as 2."""
+    w = Wfsa()
+    w.add_arc(0, A, 0.5, 2)
+    w.add_arc(2, B, 0.25, 1)
+    w.set_final(1, 0.5)
+    return w
+
+
+def nonzero_start() -> Wfsa:
+    w = Wfsa()
+    w.add_arc(1, A, 0.5, 0)
+    w.set_final(0, 0.5)
+    w.start = 1
+    return w
+
+
+def inaccessible_state() -> Wfsa:
+    w = chain([0.5, 0.25])
+    w.add_arc(3, C, 0.1, 2)   # BFS from 0 never reaches state 3
+    return w
+
+
+def negative_zero_final() -> Wfsa:
+    w = chain([0.5, 0.25])
+    w.set_final(2, -0.0)
+    return w
+
+
+def two_dsts_against_arc_order() -> Wfsa:
+    """State 0 sends A to 1 and to 2, the arc into 2 first and cheaper,
+    so Arc order and (label, dst) order differ."""
+    w = Wfsa(semiring.LOG)
+    w.add_arc(0, A, 0.5, 2)
+    w.add_arc(0, A, 1.0, 1)
+    w.add_arc(1, B, 0.25, 2)
+    w.set_final(2)
+    return w
+
+
+class TestPassThrough:
+    """The cores give back what they would only build again: _rm_epsilon
+    a row that merging leaves as it is, _determinize an input its fast
+    path would renumber and rewrite nowhere. The public operations still
+    share no row list with their argument."""
+
+    def identity_numbered(self) -> Wfsa:
+        w = rm_epsilon(sausage_lattice(50, seed=13))
+        assert w.start == 0 and topological_order(w) == list(range(w.num_states))
+        return w
+
+    def test_determinize_core_returns_its_input(self):
+        for w in (l1(), self.identity_numbered()):
+            order = topological_order(w)
+            assert _determinize(w, order) == (w, order)
+            assert _determinize(w, order)[0] is w
+
+    @pytest.mark.parametrize("op", [determinize, rm_epsilon])
+    def test_public_operations_share_no_row_list(self, op):
+        w = self.identity_numbered()
+        snap = snapshot(w)
+        out = op(w)
+        assert out.arcs == w.arcs and out.finals == w.finals
+        assert shares_no_row(out, w)
+        for row in out.arcs:
+            row.append(Arc(A, 0.5, 0))
+        out.finals[0] = 1.0
+        assert_unchanged(w, snap)
+
+    def test_rm_epsilon_core_keeps_each_row_list_sorted_in_place(self):
+        # every sausage row passes through, most of them out of label order
+        w = sausage_lattice(200, seed=13)
+        arcs_in = [list(row) for row in w.arcs]
+        rows = list(w.arcs)
+        out = ops._rm_epsilon(w)
+        assert all(mine is theirs for mine, theirs in zip(out.arcs, rows))
+        assert any(row != sorted(row) for row in arcs_in)
+        for row, was in zip(out.arcs, arcs_in):
+            assert row == sorted(was, key=lambda arc: (arc.label, arc.dst))
+            assert all(any(arc is old for old in was) for arc in row)
+
+    def test_rm_epsilon_orders_one_label_to_two_dsts_by_dst(self):
+        w = two_dsts_against_arc_order()
+        row = w.arcs[0]
+        out = ops._rm_epsilon(w)
+        assert out.arcs[0] is row
+        assert out.arcs[0] == [Arc(A, 1.0, 1), Arc(A, 0.5, 2)]
+        assert rm_epsilon(two_dsts_against_arc_order()).arcs == out.arcs
+
+    @pytest.mark.parametrize("make, arcs, finals", [
+        (lambda: chain([-0.0, 0.5]), [[Arc(A, 0.0, 1)], [Arc(B, 0.5, 2)], []], {2: 0.0}),
+        (negative_zero_final, [[Arc(A, 0.5, 1)], [Arc(B, 0.25, 2)], []], {2: 0.0}),
+        (nonzero_start, [[Arc(A, 0.5, 1)], []], {1: 0.5}),
+        (renumbered_by_bfs, [[Arc(A, 0.5, 1)], [Arc(B, 0.25, 2)], []], {2: 0.5}),
+        (inaccessible_state, [[Arc(A, 0.5, 1)], [Arc(B, 0.25, 2)], []], {2: 0.0}),
+        # not deterministic: the subset construction's result
+        (two_dsts_against_arc_order, None, None),
+    ], ids=["negative_zero_arc", "negative_zero_final", "nonzero_start",
+            "bfs_renumbers", "inaccessible_state", "two_dsts"])
+    def test_determinize_rebuilds_what_it_changes(self, make, arcs, finals):
+        w = make()
+        out, order = _determinize(w, topological_order(w))
+        assert out is not w and shares_no_row(out, w)
+        assert_topological(out, order)
+        if arcs is None:
+            ref = _subsets(w, topological_order(w))[0]
+            arcs, finals = ref.arcs, ref.finals
+        assert repr(out.arcs) == repr(arcs)
+        assert repr(out.finals) == repr(finals)
+        assert repr(determinize(w).arcs) == repr(out.arcs)
+
+    @pytest.mark.parametrize("arcs, want", [
+        ([(A, 0.5, 1), (A, 0.25, 1)], [Arc(A, semiring.log_add(0.5, 0.25), 1)]),
+        ([(A, -0.0, 1)], [Arc(A, 0.0, 1)]),
+        ([(B, 0.5, 1), (A, math.inf, 1)], [Arc(B, 0.5, 1)]),
+    ], ids=["parallel", "negative_zero", "infinite"])
+    def test_rm_epsilon_merges_what_it_changes(self, arcs, want):
+        w = Wfsa(semiring.LOG)
+        for label, weight, dst in arcs:
+            w.add_arc(0, label, weight, dst)
+        w.set_final(1)
+        row = w.arcs[0]
+        out = ops._rm_epsilon(w)
+        assert out.arcs[0] is not row
+        assert repr(out.arcs[0]) == repr(want)

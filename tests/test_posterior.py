@@ -165,6 +165,38 @@ class TestPrepare:
         with pytest.raises(EmptyLatticeError, match="accepts nothing"):
             prepare(w)
 
+    def test_an_arc_of_infinite_cost_is_dropped(self):
+        # such an arc carries no mass; kept, it gave its target a NaN
+        # residual and so a NaN final weight
+        symbols = _numbered(4)
+        lat = prepare(parse_wfsa("0 1 t01 0.5\n1 2 t02 inf\n2\n1\n", symbols))
+        without = prepare(parse_wfsa("0 1 t01 0.5\n2\n1\n", symbols))
+        assert serialize_wfsa(lat.inner, symbols) == serialize_wfsa(without.inner, symbols)
+        assert lat.raw_total == without.raw_total
+        # any label, epsilon included, parallel to other arcs or not, into
+        # a state of the lattice or into one of its own
+        rng = random.Random(2122)
+        for _ in range(300):
+            w = row_cases_lattice(rng)
+            order = topological_order(w)
+            with_inf = w.copy()
+            src = rng.choice(order[:-1])
+            if rng.random() < 0.3:
+                dst = with_inf.add_state()
+                with_inf.set_final(dst, 0.5)
+            else:
+                dst = rng.choice(order[order.index(src) + 1:])
+            with_inf.add_arc(src, rng.randint(0, 4), math.inf, dst)
+            got, want = prepare(with_inf), prepare(w)
+            assert serialize_wfsa(got.inner, symbols) == serialize_wfsa(want.inner, symbols)
+            assert got.raw_total == want.raw_total
+
+    @pytest.mark.parametrize("text", ["0 1 t01 inf\n1\n",
+                                      "0 1 t01 0.5\n1 2 t02 inf\n0 2 t03 inf\n2\n"])
+    def test_every_path_of_infinite_cost_accepts_nothing(self, text):
+        with pytest.raises(EmptyLatticeError, match="accepts nothing"):
+            prepare(parse_wfsa(text, _numbered(3)))
+
     @pytest.mark.parametrize("states", ["unreachable", "dead"])
     def test_cycle_among_dropped_states(self, states):
         # the trim drops the cycle, so the lattice prepares as l1 does
@@ -200,12 +232,58 @@ def _numbered(n: int) -> SymbolTable:
     return symbols_from_tokens(f"t{i:02d}" for i in range(1, n + 1))
 
 
+def row_cases_lattice(rng: random.Random) -> Wfsa:
+    """A lattice of 2-8 states whose rows take both ways through epsilon
+    removal and determinize: passed through or rebuilt. It may hold -0.0
+    weights, parallel arcs, one label to two dsts with the cheaper arc
+    into the later dst, epsilons, a start that is not 0 and states
+    numbered against BFS order; about a third of the lattices number
+    their states in position order."""
+    n = rng.randint(2, 8)
+    ids = list(range(n))
+    if rng.random() < 0.65:
+        rng.shuffle(ids)
+    weights = (-0.0, 0.0, 0.25, 0.5, 1.0)
+    eps = 0.2 if rng.random() < 0.3 else 0.0
+
+    def weight():
+        return rng.choice(weights) if rng.random() < 0.5 else rng.uniform(0.0, 3.0)
+
+    w = Wfsa(semiring.TROPICAL)
+    w.ensure_state(n - 1)
+    w.start = ids[0]
+    for pos in range(n - 1):
+        w.add_arc(ids[pos], rng.randint(1, 4), weight(), ids[pos + 1])
+    for _ in range(rng.randint(0, 2 * n)):
+        src = rng.randrange(n - 1)
+        dst = rng.randrange(src + 1, n)
+        label = 0 if rng.random() < eps else rng.randint(1, 4)
+        kind = rng.random()
+        if kind < 0.2:      # a parallel arc
+            w.add_arc(ids[src], label, weight(), ids[dst])
+            w.add_arc(ids[src], label, weight(), ids[dst])
+        elif kind < 0.4 and dst < n - 1:    # the later dst is cheaper
+            near, far = sorted((ids[dst], ids[dst + 1]))
+            w.add_arc(ids[src], label, 2.0, near)
+            w.add_arc(ids[src], label, 1.0, far)
+        else:
+            w.add_arc(ids[src], label, weight(), ids[dst])
+    w.set_final(ids[n - 1], weight())
+    for pos in range(n - 1):
+        if rng.random() < 0.3:
+            w.set_final(ids[pos], weight())
+    return w
+
+
 def _golden_inputs(name):
     if name == "demo":
         demo = build_demo(seed=13, n_sentences=50)
         return demo.lattices, demo.symbols
     if name == "sausage":
         return [sausage_lattice(2000, seed=13)], _numbered(40)
+    if name == "row_cases":
+        rng = random.Random(2121)
+        return [row_cases_lattice(rng) for _ in range(2000)], _numbered(4)
     return [_two_arc_lattice(1000, random.Random(14))], _numbered(20)
 
 
@@ -218,7 +296,9 @@ class TestPinnedBytes:
         ("demo", "12012b080a43b3093988a612686c38db92b4a2803f96dc5ec084c0234ef0bfcc"),
         ("sausage", "0dcc1255cf38fcfb7b02dd3864d4be5868c0c3cfca0525ecadcd1678f49bb0ce"),
         ("two_arc", "5560e280a6758a19ffb6edb70ea832c9db1beef10e0a8e1fdcaf336a8d24d53d"),
-    ], ids=["demo", "sausage", "two_arc"])
+        # rows passed through and rebuilt by epsilon removal and determinize
+        ("row_cases", "3b1eb184e1251c96eb5f1484288cf306066b0496bda1cc2ee18bcd6e321f3d0e"),
+    ], ids=["demo", "sausage", "two_arc", "row_cases"])
     def test_prepare_bytes_unchanged(self, name, digest):
         raws, symbols = _golden_inputs(name)
         h = hashlib.sha256()
