@@ -10,10 +10,13 @@ denominator) the score is zero. Scores live in [0, 1].
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Sized
 from dataclasses import dataclass, field
+from functools import partial
 
+from .decoder import DecoderConfig, decode
 from .errors import BleuError, ConfigError, TuneError
 
 MAX_ORDER = 4
@@ -41,21 +44,39 @@ def corpus_bleu(hypotheses, references) -> BleuReport:
     Sequences may hold any hashable tokens (strings, ids). An order whose
     denominator is zero counts as zero precision, which zeroes the score;
     identical corpora score exactly 1.0. Unequal counts and an empty
-    corpus raise BleuError, which is also a ValueError. A reference's
-    n-grams are counted one order at a time, next to the hypothesis's
-    n-grams of that order, and let go before the next order is counted.
+    corpus raise BleuError, which is also a ValueError. The score comes
+    from the sum of each sentence pair's statistics, in which a
+    reference's n-grams are counted one order at a time, next to the
+    hypothesis's n-grams of that order, and let go before the next order
+    is counted.
     """
-    refs = [tuple(ref) for ref in references]
-    return _corpus_bleu(hypotheses, [len(ref) for ref in refs],
-                        lambda i, n: _ngrams(refs[i], n))
+    hyps, refs = list(hypotheses), list(references)
+    if len(hyps) != len(refs):
+        raise BleuError(f"{len(hyps)} hypotheses against {len(refs)} references")
+    if not hyps:
+        raise BleuError("empty corpus")
+    total = NO_STATS
+    for hyp, ref in zip(hyps, refs):
+        ref = tuple(ref)
+        total = _add(total, _sentence_stats(hyp, len(ref), partial(_ngrams, ref)))
+    return _report(total)
 
 
-def _count_references(references) -> list[tuple[int, list[Counter]]]:
-    """The length and the n-gram counts, orders 1 to MAX_ORDER, of each
-    reference: what BLEU reads of them, counted once for any number of
-    hypothesis sets."""
-    return [(len(ref), [_ngrams(ref, n) for n in ORDERS])
-            for ref in map(tuple, references)]
+# BLEU's sufficient statistics of a sentence or a corpus, all ints:
+# matched n-grams of orders 1 to MAX_ORDER, their totals, the hypothesis
+# length and the reference length. A corpus's are the sum of its
+# sentences', and a BleuReport is computed from them alone.
+NO_STATS = (0,) * (2 * MAX_ORDER + 2)
+
+
+def _sentence_stats(hypothesis, ref_length: int, ref_ngrams) -> tuple[int, ...]:
+    """The statistics of one hypothesis against a reference of ref_length
+    tokens, whose n-gram counts of order n are ref_ngrams(n); one
+    order's Counters are let go before the next is counted."""
+    hyp = tuple(hypothesis)
+    matched = [_clipped(_ngrams(hyp, n), ref_ngrams(n)) for n in ORDERS]
+    totals = [max(len(hyp) - n + 1, 0) for n in ORDERS]
+    return (*matched, *totals, len(hyp), ref_length)
 
 
 def _clipped(hyp_counts: Counter, ref_counts: Counter) -> int:
@@ -64,25 +85,14 @@ def _clipped(hyp_counts: Counter, ref_counts: Counter) -> int:
     return sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
 
 
-def _corpus_bleu(hypotheses, ref_lengths: list[int], ref_ngrams) -> BleuReport:
-    """corpus_bleu against references of ref_lengths, where
-    ref_ngrams(i, n) gives the i-th reference's n-gram counts of order
-    n. One order of one sentence pair is counted at a time."""
-    hyps = [tuple(h) for h in hypotheses]
-    if len(hyps) != len(ref_lengths):
-        raise BleuError(f"{len(hyps)} hypotheses against {len(ref_lengths)} references")
-    if not hyps:
-        raise BleuError("empty corpus")
+def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.add, a, b))
 
-    matched = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    for i, hyp in enumerate(hyps):
-        for n in ORDERS:
-            totals[n - 1] += max(len(hyp) - n + 1, 0)
-            matched[n - 1] += _clipped(_ngrams(hyp, n), ref_ngrams(i, n))
-    hyp_length = sum(map(len, hyps))
-    ref_length = sum(ref_lengths)
 
+def _report(stats: tuple[int, ...]) -> BleuReport:
+    """The BleuReport of summed statistics; floats appear only here."""
+    matched, totals = stats[:MAX_ORDER], stats[MAX_ORDER:2 * MAX_ORDER]
+    hyp_length, ref_length = stats[2 * MAX_ORDER:]
     precisions = tuple(m / t if t else 0.0 for m, t in zip(matched, totals))
     if hyp_length == 0:
         bp = 0.0
@@ -98,7 +108,10 @@ def _corpus_bleu(hypotheses, ref_lengths: list[int], ref_ngrams) -> BleuReport:
             log_total += math.log(p)
         score = bp * math.exp(log_total / MAX_ORDER)
     return BleuReport(score, precisions, bp, hyp_length, ref_length,
-                      tuple(matched), tuple(totals))
+                      matched, totals)
+
+
+_DIFFER = "development lattices and references differ in length"
 
 
 @dataclass(slots=True)
@@ -115,43 +128,80 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
 
     Only the ratio of the two weights matters to the decoder's argmax, so
     lambda_scorer stays fixed at 1 and the grid sweeps lambda_lat. Ties
-    go to the smaller lambda_lat. The references' n-grams are counted
-    once, for every grid point. Lattices may come from any iterable:
-    each is decoded at every grid point as it arrives and then let go,
-    so one lattice is held at a time, and BLEU is computed per grid
-    point after the last. A count that differs from the references' is
-    a ConfigError, found before any decode when lattices has a length
-    and after the last decode otherwise. Decoding failures are re-raised
-    as TuneError naming the offending sentence; an empty grid is a
-    TuneError too.
+    go to the smaller lambda_lat. Lattices may come from any iterable:
+    each is decoded at every grid point as it arrives, scored against
+    its reference and let go, so one lattice and one reference's n-gram
+    counts are held at a time, and the sweep keeps only each grid
+    point's summed BLEU statistics. A count that differs from the
+    references' is a ConfigError: when lattices has a length it is found
+    before any decode, otherwise when a lattice arrives with no
+    reference left or after the last decode. Decoding failures are
+    re-raised as TuneError naming the offending sentence; an empty grid
+    is a TuneError too.
     """
-    from .decoder import DecoderConfig, decode
+    references = list(references)
+    if isinstance(lattices, Sized) and len(lattices) != len(references):
+        raise ConfigError(_DIFFER)
+    configs = _tune_configs(grid, beam, local_softmax)
 
-    counted = _count_references(references)
-    lengths = [length for length, _ in counted]
-    if isinstance(lattices, Sized) and len(lattices) != len(counted):
-        raise ConfigError("development lattices and references differ in length")
+    def per_lattice():
+        # a plain loop: zip and enumerate may keep an earlier lattice in
+        # the result tuple they reuse
+        done = 0
+        for lattice in lattices:
+            if done == len(references):
+                raise ConfigError(_DIFFER)
+            yield _lattice_stats(lattice, references[done], scorer, configs,
+                                 f"on sentence {done} ")
+            done += 1
+        if done != len(references):
+            raise ConfigError(_DIFFER)
+
+    return _tune_result(configs, per_lattice())
+
+
+def _tune_configs(grid, beam: int, local_softmax: bool) -> list[DecoderConfig]:
+    """The decoder settings of each grid value of lambda_lat, ascending,
+    with lambda_scorer 1; an empty grid is a TuneError."""
     grid = sorted(grid)
     if not grid:
         raise TuneError("empty lambda_lat grid")
-    configs = [DecoderConfig(beam=beam, lambda_lat=lam, lambda_scorer=1.0,
-                             local_softmax=local_softmax) for lam in grid]
-    hyps = [[] for _ in grid]   # hyps[g]: each lattice's best prefix at grid[g]
-    for i, lattice in enumerate(lattices):
-        for cfg, found in zip(configs, hyps):
-            try:
-                found.append(decode(lattice, scorer, cfg).best.prefix)
-            except Exception as exc:
-                raise TuneError(f"decode failed on sentence {i} at "
-                                f"lambda_lat={cfg.lambda_lat}: {exc}") from exc
-    if len(hyps[0]) != len(counted):
-        raise ConfigError("development lattices and references differ in length")
+    return [DecoderConfig(beam=beam, lambda_lat=lam, lambda_scorer=1.0,
+                          local_softmax=local_softmax) for lam in grid]
+
+
+def _lattice_stats(lattice, reference, scorer, configs,
+                   where: str = "") -> list[tuple[int, ...]]:
+    """The BLEU statistics of the lattice's best hypothesis under each of
+    configs, against reference, whose n-grams are counted once for all
+    of them: O(len(configs)) ints. A failed decode is a TuneError naming
+    where and the lambda_lat."""
+    ref = tuple(reference)
+    counts = [_ngrams(ref, n) for n in ORDERS]
+    stats = []
+    for cfg in configs:
+        try:
+            prefix = decode(lattice, scorer, cfg).best.prefix
+        except Exception as exc:
+            raise TuneError(f"decode failed {where}at "
+                            f"lambda_lat={cfg.lambda_lat}: {exc}") from exc
+        stats.append(_sentence_stats(prefix, len(ref), lambda n: counts[n - 1]))
+    return stats
+
+
+def _tune_result(configs, per_lattice) -> TuneResult:
+    """The config whose statistics, summed over the lists in per_lattice
+    (one tuple per config each), score the highest BLEU, the first of
+    equal ones, with every config's score as the history."""
+    totals = [NO_STATS] * len(configs)
+    for stats in per_lattice:
+        totals = list(map(_add, totals, stats))
     best: TuneResult | None = None
     history: list[tuple[float, float]] = []
-    for lam, found in zip(grid, hyps):
-        report = _corpus_bleu(found, lengths, lambda i, n: counted[i][1][n - 1])
-        history.append((lam, report.score))
+    for cfg, stats in zip(configs, totals):
+        report = _report(stats)
+        history.append((cfg.lambda_lat, report.score))
         if best is None or report.score > best.bleu.score:
-            best = TuneResult(lam, 1.0, report)
+            best = TuneResult(cfg.lambda_lat, 1.0, report)
     best.history = history
     return best

@@ -37,9 +37,9 @@ from .baselines import (
     rescore_nbest_dfs,
     rescore_nbest_naive,
 )
-from .bleu import corpus_bleu, tune_grid
+from .bleu import _lattice_stats, _tune_configs, _tune_result, corpus_bleu
 from .decoder import DecoderConfig, decode
-from .errors import ConfigError, LatbeamError, UnknownSymbolError
+from .errors import LatbeamError, UnknownSymbolError
 from .posterior import STAGES, PosteriorLattice, prepare
 from .scorers import (MAX_ORDER, UniformScorer, load_ngram_model, load_table_scorer,
                       train_ngram)
@@ -150,8 +150,16 @@ def _outcomes(fn, files: list[Path], workers: int, context: dict):
                                        chunksize=chunksize))
 
 
+def _lattice_files(latdir: str) -> list[Path]:
+    """The .lat files under latdir, sorted; none is an error."""
+    files = sorted(Path(latdir).glob("*.lat"))
+    if not files:
+        raise LatbeamError(f"no .lat files under {latdir}")
+    return files
+
+
 class _Batch:
-    """fn(path, **context) for each .lat file under latdir, in file order.
+    """fn(path, **context) for each of files, in order.
 
     Iterating yields (id, payload) for each file that succeeded and prints
     `id: message` to stderr for each that failed, in place. The context is
@@ -159,10 +167,7 @@ class _Batch:
     through the initializer, and the pool has at most one process per file.
     """
 
-    def __init__(self, fn, latdir: str, workers: int = 1, **context):
-        self.files = files = sorted(Path(latdir).glob("*.lat"))
-        if not files:
-            raise LatbeamError(f"no .lat files under {latdir}")
+    def __init__(self, fn, files: list[Path], workers: int = 1, **context):
         self.outcomes = _outcomes(fn, files, min(workers, len(files)), context)
         self.status = 0     # the exit code: 0 only when every file succeeded
 
@@ -197,7 +202,7 @@ def cmd_push(args) -> int:
     outdir = Path(args.outdir)
     with _file_errors(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-    batch = _Batch(_push_file, args.latdir, args.workers,
+    batch = _Batch(_push_file, _lattice_files(args.latdir), args.workers,
                    symbols=_load_symbols(args.symtab), outdir=outdir)
     total = dict.fromkeys(STAGES, 0.0)
     done = 0
@@ -239,7 +244,7 @@ def cmd_decode(args) -> int:
     symbols = _load_symbols(args.symtab)
     scorer = _make_scorer(args, symbols)
     cfg = _decoder_config(args)
-    batch = _Batch(_decode_file, args.latdir, args.workers,
+    batch = _Batch(_decode_file, _lattice_files(args.latdir), args.workers,
                    symbols=symbols, scorer=scorer, cfg=cfg)
     expansions = []
     with _output(args.out) as out:
@@ -271,7 +276,7 @@ def _nbest_file(path: Path, symbols: SymbolTable, n: int) -> list[str]:
 
 
 def cmd_nbest(args) -> int:
-    batch = _Batch(_nbest_file, args.latdir, args.workers,
+    batch = _Batch(_nbest_file, _lattice_files(args.latdir), args.workers,
                    symbols=_load_symbols(args.symtab), n=args.nbest)
     with _output(args.out) as out:
         for _, lines in batch:
@@ -287,7 +292,8 @@ def _read_nbest_file(path, symbols):
     Every line is checked as it is read, so a bad line fails, in file
     order, before any list is yielded; a list that NBestList refuses
     fails when its turn comes. Until then each id's entries wait as
-    three array columns: token ids, where each entry's tokens end, and
+    three array columns: token ids, where each entry's tokens end (32
+    bits each, so a list holds at most 2**32 - 1 tokens), and
     log-probabilities, a few bytes a token where tuples of ints take
     about 20.
     """
@@ -314,7 +320,7 @@ def _read_nbest_file(path, symbols):
             ident = ident.strip()
             group = columns.get(ident)
             if group is None:
-                group = columns[ident] = (array(typecode), array("Q"), array("d"))
+                group = columns[ident] = (array(typecode), array("I"), array("d"))
             tokens, ends, logprobs = group
             try:
                 tokens.extend(symbols.ids_of(text.split()))
@@ -323,7 +329,11 @@ def _read_nbest_file(path, symbols):
             except OverflowError:
                 raise LatbeamError(
                     f"{path}: line {lineno}: symbol id beyond 64 bits") from None
-            ends.append(len(tokens))
+            try:
+                ends.append(len(tokens))
+            except OverflowError:
+                raise LatbeamError(f"{path}: line {lineno}: list {ident} "
+                                   "beyond 2**32 - 1 tokens") from None
             logprobs.append(logprob)
     for ident in sorted(columns):
         tokens, ends, logprobs = columns.pop(ident)
@@ -373,32 +383,37 @@ def _read_sentences(path) -> list[list[str]]:
             for line in _read_text(path).splitlines()]
 
 
+def _tune_file(path: Path, symbols: SymbolTable, scorer, configs, references: dict):
+    """The BLEU statistics of one pushed lattice's best hypothesis at each
+    grid point, against the reference matched to its file name."""
+    return _lattice_stats(_read_posterior(path, symbols), references[path.name],
+                          scorer, configs)
+
+
 def cmd_tune(args) -> int:
     grid = _parse_grid(args.grid)
     symbols = _load_symbols(args.symtab)
     scorer = _make_scorer(args, symbols)
-    batch = _Batch(_read_posterior, args.latdir, symbols=symbols)
+    files = _lattice_files(args.latdir)
     # a reference word no lattice holds gets an id of its own, which no
     # hypothesis can match
     vocab = _open_copy(symbols)
     references = [[vocab.add(t) for t in sent] for sent in _read_sentences(args.refs)]
-    if len(references) != len(batch.files):
+    if len(references) != len(files):
+        batch = _Batch(_read_posterior, files, args.workers, symbols=symbols)
         for _ in batch:     # every failed file still gets its line
             pass
         if batch.status:
             return batch.status
         raise LatbeamError(f"{args.refs}: {len(references)} references "
-                           f"for {len(batch.files)} lattices")
-    # tune_grid decodes each lattice as it is read; once a file has
-    # failed, the rest are read only for their errors
-    lattices = (lattice for _, lattice in batch if not batch.status)
-    try:
-        result = tune_grid(lattices, references, scorer, grid, beam=args.beam,
-                           local_softmax=args.local_softmax)
-    except ConfigError:
-        if not batch.status:
-            raise
-        # a file failed, so fewer lattices than references reached tune_grid
+                           f"for {len(files)} lattices")
+    configs = _tune_configs(grid, args.beam, args.local_softmax)
+    batch = _Batch(_tune_file, files, args.workers, symbols=symbols, scorer=scorer,
+                   configs=configs,
+                   references={f.name: ref for f, ref in zip(files, references)})
+    # every file is decoded, so each that fails gets its line
+    result = _tune_result(configs, (stats for _, stats in batch))
+    if batch.status:
         return batch.status
     if args.json:
         print(json.dumps({"lambda_lat": result.lambda_lat,
@@ -473,7 +488,7 @@ def _stats_file(path: Path, symbols: SymbolTable):
 
 def cmd_stats(args) -> int:
     symbols = _load_symbols(args.symtab)
-    batch = _Batch(_stats_file, args.latdir, symbols=symbols)
+    batch = _Batch(_stats_file, _lattice_files(args.latdir), symbols=symbols)
     rows = list(batch)
     if args.json:
         for ident, report in rows:
@@ -590,6 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:2:0.25", help="start:stop:step")
     p.add_argument("--beam", type=int, default=12)
     p.add_argument("--local-softmax", action="store_true", dest="local_softmax")
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tune)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -136,6 +137,14 @@ class TestCorpusBleu:
             report = corpus_bleu(hyps, refs)
             assert 0.0 <= report.score <= 1.0
             assert all(0.0 <= p <= 1.0 for p in report.precisions)
+            # the corpus report is the one built from the sum of each
+            # sentence's integer statistics, field for field
+            summed = bleu.NO_STATS
+            for hyp, ref in zip(hyps, refs):
+                one = corpus_bleu([hyp], [ref])
+                summed = tuple(map(sum, zip(
+                    summed, (*one.matched, *one.totals, one.hyp_length, one.ref_length))))
+            assert bleu._report(summed) == report
 
 
 def two_path_lattice() -> Wfsa:
@@ -262,6 +271,28 @@ class TestTuneGrid:
             assert score == report.score
             if lam == result.lambda_lat:
                 assert result.bleu == report
+
+    def test_sweep_holds_nothing_per_sentence(self):
+        # the sweep keeps summed statistics per grid point, not each
+        # sentence's reference counts or best prefixes: 48 sentences
+        # peak above 12 by no more than their 36 extra references take
+        demo = build_demo(seed=13, n_sentences=48)
+        lattices = [prepare(raw) for raw in demo.lattices]
+        scorer = UniformScorer(set(demo.symbols.ids()))
+        grid = [0.0, 0.5, 1.0, 2.0]
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                tune_grid(iter(lattices[:n]), demo.references[:n], scorer, grid)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        tune_grid(lattices, demo.references, scorer, grid)     # warm caches
+        extra = sum(map(sys.getsizeof, demo.references[12:]))
+        assert peak(48) - peak(12) <= extra
 
     def test_generator_lattices_are_let_go(self):
         demo = build_demo(seed=13, n_sentences=8)

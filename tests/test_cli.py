@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ import latbeam
 from latbeam import cli
 from latbeam.bleu import corpus_bleu
 from latbeam.cli import main
+from latbeam.decoder import decode
 from latbeam.posterior import PosteriorLattice
 from latbeam.scorers import MAX_ORDER
 from latbeam.wfsa import parse_symbols, parse_wfsa
@@ -317,6 +319,24 @@ class TestRescoreContract:
         proc = run_cli("rescore", nbest, "--symtab", tmp_path / "symtab.txt")
         assert proc.returncode == 1
         assert proc.stderr == f"latbeam: {nbest}: line 2: symbol id beyond 64 bits\n"
+
+    def test_list_beyond_ends_column_is_one_line_error(self, ws, tmp_path, capsys,
+                                                       monkeypatch):
+        # the ends column holds 32 bits an entry; an 8-bit column stands in
+        # for it here, so a list of 256 tokens overflows it as one of 2**32
+        # tokens would overflow the real one
+        monkeypatch.setattr(cli, "array",
+                            lambda typecode: array("B" if typecode == "I" else typecode))
+        symbols = parse_symbols((ws / "symtab.txt").read_text())
+        word = symbols.sym_of(symbols.ids()[0])
+        nbest = tmp_path / "long.nbest"
+        nbest.write_text(f"x ||| {word} ||| -0.5\nx ||| {' '.join([word] * 255)} ||| -0.9\n")
+        out = tmp_path / "best.txt"
+        assert main(["rescore", str(nbest), "--symtab", str(ws / "symtab.txt"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"latbeam: {nbest}: line 2: list x beyond 2**32 - 1 tokens\n")
+        assert out.read_text() == ""
 
 
 class TestScoredPipelines:
@@ -652,16 +672,22 @@ class TestPerFileContract:
         yield POOLS
         POOLS.clear()
 
-    @pytest.mark.parametrize("command", ["push", "decode", "nbest"])
+    @pytest.mark.parametrize("command", ["push", "decode", "nbest", "tune"])
     def test_bad_lattice_same_with_workers(self, ws, tmp_path, capsys, command):
         src = ws / ("lattices" if command == "push" else "pushed")
         latdir = with_bad_lattice(src, tmp_path / "lats")
+        # one reference per file, 002b's a copy of 002's, so tune decodes
+        refs = (ws / "refs.txt").read_text().splitlines(keepends=True)
+        (tmp_path / "refs.txt").write_text("".join(refs[:3] + refs[2:]))
         runs = {}
         for workers in ("1", "3"):
             out = tmp_path / f"out{workers}"
             argv = {"push": ["push", str(latdir), str(out)],
                     "decode": decode_args(ws, "--out", str(out)),
-                    "nbest": ["nbest", str(latdir), "--out", str(out)]}[command]
+                    "nbest": ["nbest", str(latdir), "--out", str(out)],
+                    "tune": ["tune", str(latdir), str(tmp_path / "refs.txt"),
+                             "--scorer", "ngram", "--model", str(ws / "model.txt"),
+                             "--grid", "0:1:0.5", "--json"]}[command]
             if command == "decode":
                 argv[1] = str(latdir)
             else:
@@ -669,7 +695,8 @@ class TestPerFileContract:
             assert main(argv + ["--workers", workers]) == 1
             captured = capsys.readouterr()
             payload = ([f.read_bytes() for f in sorted(out.glob("*.lat"))]
-                       if command == "push" else out.read_bytes())
+                       if command == "push" else
+                       captured.out if command == "tune" else out.read_bytes())
             # push's timing table differs run to run; decode's score lines stay
             stderr = captured.err if command != "push" else None
             runs[workers] = (captured.out, payload, error_lines(captured.err), stderr)
@@ -677,6 +704,8 @@ class TestPerFileContract:
         assert runs["1"][2] == ["002b: no final state"]
         if command == "push":
             assert len(runs["1"][1]) == 6
+        if command == "tune":
+            assert runs["1"][1] == ""
         if command == "decode":
             assert runs["1"][1].count(b"\n") == 6
             ids = [line.split(":")[0] for line in runs["1"][3].splitlines()[:-1]]
@@ -740,13 +769,15 @@ class TestPerFileContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
-    @pytest.mark.parametrize("command", ["push", "decode", "nbest"])
+    @pytest.mark.parametrize("command", ["push", "decode", "nbest", "tune"])
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_is_usage_error(self, ws, tmp_path, capsys, recorded,
                                               command, workers):
         argv = [command, str(ws / "pushed")]
         if command == "push":
             argv.append(str(tmp_path / "out"))
+        if command == "tune":
+            argv.append(str(ws / "refs.txt"))
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--symtab", str(ws / "symtab.txt"), "--workers", workers])
         assert exc.value.code == 2
@@ -781,10 +812,29 @@ class TestPerFileContract:
         assert captured.out == ""
         assert captured.err.splitlines() == ["002b: no final state"]
 
+    def test_tune_failed_decode_is_its_files_line(self, ws, capsys, monkeypatch):
+        # the fourth decode is 001's first grid point; the files after it
+        # are still decoded
+        calls = []
+
+        def failing(lattice, scorer, cfg):
+            calls.append(cfg)
+            if len(calls) == 4:
+                raise RuntimeError("boom")
+            return decode(lattice, scorer, cfg)
+
+        monkeypatch.setattr(latbeam.bleu, "decode", failing)
+        assert main(["tune", str(ws / "pushed"), str(ws / "refs.txt"),
+                     "--symtab", str(ws / "symtab.txt"), "--grid", "0:1:0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["001: decode failed at lambda_lat=0.0: boom"]
+        assert len(calls) == 6 * 3 - 2
 
     def test_tune_unreadable_lattice_prints_only_its_error(self, ws, tmp_path, capsys):
-        # as many references as files, so the lattices before 002 are
-        # decoded; after it fails the rest are only read, for 004's error
+        # as many references as files, so every lattice is decoded: 002
+        # fails, the files after it are still decoded and 004 fails too;
+        # a failed file leaves stdout empty and the exit status 1
         latdir = tmp_path / "lats"
         latdir.mkdir()
         for f in (ws / "pushed").glob("*.lat"):
