@@ -137,7 +137,8 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
     before any decode, otherwise when a lattice arrives with no
     reference left or after the last decode. Decoding failures are
     re-raised as TuneError naming the offending sentence; an empty grid
-    is a TuneError too.
+    is a TuneError too, and an empty corpus a BleuError, as in
+    corpus_bleu.
     """
     references = list(references)
     if isinstance(lattices, Sized) and len(lattices) != len(references):
@@ -156,6 +157,8 @@ def tune_grid(lattices, references, scorer, grid, beam: int = 12,
             done += 1
         if done != len(references):
             raise ConfigError(_DIFFER)
+        if not done:
+            raise BleuError("empty corpus")
 
     return _tune_result(configs, per_lattice())
 

@@ -400,7 +400,7 @@ def cmd_tune(args) -> int:
     vocab = _open_copy(symbols)
     references = [[vocab.add(t) for t in sent] for sent in _read_sentences(args.refs)]
     if len(references) != len(files):
-        batch = _Batch(_read_posterior, files, args.workers, symbols=symbols)
+        batch = _Batch(_read_posterior, files, symbols=symbols)
         for _ in batch:     # every failed file still gets its line
             pass
         if batch.status:
@@ -408,8 +408,7 @@ def cmd_tune(args) -> int:
         raise LatbeamError(f"{args.refs}: {len(references)} references "
                            f"for {len(files)} lattices")
     configs = _tune_configs(grid, args.beam, args.local_softmax)
-    batch = _Batch(_tune_file, files, args.workers, symbols=symbols, scorer=scorer,
-                   configs=configs,
+    batch = _Batch(_tune_file, files, symbols=symbols, scorer=scorer, configs=configs,
                    references={f.name: ref for f, ref in zip(files, references)})
     # every file is decoded, so each that fails gets its line
     result = _tune_result(configs, (stats for _, stats in batch))
@@ -605,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:2:0.25", help="start:stop:step")
     p.add_argument("--beam", type=int, default=12)
     p.add_argument("--local-softmax", action="store_true", dest="local_softmax")
-    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tune)
 

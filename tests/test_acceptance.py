@@ -400,17 +400,11 @@ def test_11_determinism(tmp_path, capsys):
         assert main(["bleu", str(hyp), str(root / "refs.txt"),
                      "--json"]) == 0
         bleu_line = capsys.readouterr().out
-        # tune runs serially the first time, with 8 workers the second
-        assert main(["tune", str(pushed), str(root / "refs.txt"),
-                     "--symtab", symtab, "--scorer", "ngram",
-                     "--model", str(root / "model.txt"), "--grid", "0:2:0.5",
-                     "--workers", "1" if run == 1 else "8", "--json"]) == 0
-        tune_line = capsys.readouterr().out
         pushed_bytes = {f.name: f.read_bytes()
                         for f in sorted(pushed.glob("*.lat"))}
-        outputs.append((pushed_bytes, hyp.read_bytes(), bleu_line, tune_line))
+        outputs.append((pushed_bytes, hyp.read_bytes(), bleu_line))
     ok = outputs[0] == outputs[1]
-    report(11, "determinism under workers", ok, "push/decode/bleu/tune x2")
+    report(11, "determinism under workers", ok, "push/decode/bleu x2")
     assert ok
 
 

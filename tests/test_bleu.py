@@ -227,7 +227,8 @@ class TestTuneGrid:
             tune_grid([lat], [(A, B)], Broken({A, B, C}), grid=[0.5])
 
     def test_rejects_length_mismatch(self):
-        # a list is counted before any decode, an iterator after the last
+        # a list is counted before any decode, an iterator when a lattice
+        # arrives with no reference left
         lat = prepare(two_path_lattice())
         for lattices in ([lat, lat], iter([lat, lat])):
             with pytest.raises(ValueError, match="differ"):
@@ -240,6 +241,13 @@ class TestTuneGrid:
             tune_grid([lat], [(A, B), (A, C)], UniformScorer({A, B, C}), grid=[1.0])
         assert isinstance(exc.value, LatbeamError)
         assert isinstance(exc.value, ValueError)
+
+    def test_empty_corpus_is_a_bleu_error(self):
+        # as in corpus_bleu, from a list or from an iterator that yields
+        # nothing
+        for lattices in ([], iter([])):
+            with pytest.raises(BleuError, match="empty corpus"):
+                tune_grid(lattices, [], UniformScorer({A, B, C}), grid=[1.0])
 
     def test_empty_grid_is_a_tune_error(self):
         lat = prepare(two_path_lattice())

@@ -672,22 +672,16 @@ class TestPerFileContract:
         yield POOLS
         POOLS.clear()
 
-    @pytest.mark.parametrize("command", ["push", "decode", "nbest", "tune"])
+    @pytest.mark.parametrize("command", ["push", "decode", "nbest"])
     def test_bad_lattice_same_with_workers(self, ws, tmp_path, capsys, command):
         src = ws / ("lattices" if command == "push" else "pushed")
         latdir = with_bad_lattice(src, tmp_path / "lats")
-        # one reference per file, 002b's a copy of 002's, so tune decodes
-        refs = (ws / "refs.txt").read_text().splitlines(keepends=True)
-        (tmp_path / "refs.txt").write_text("".join(refs[:3] + refs[2:]))
         runs = {}
         for workers in ("1", "3"):
             out = tmp_path / f"out{workers}"
             argv = {"push": ["push", str(latdir), str(out)],
                     "decode": decode_args(ws, "--out", str(out)),
-                    "nbest": ["nbest", str(latdir), "--out", str(out)],
-                    "tune": ["tune", str(latdir), str(tmp_path / "refs.txt"),
-                             "--scorer", "ngram", "--model", str(ws / "model.txt"),
-                             "--grid", "0:1:0.5", "--json"]}[command]
+                    "nbest": ["nbest", str(latdir), "--out", str(out)]}[command]
             if command == "decode":
                 argv[1] = str(latdir)
             else:
@@ -695,8 +689,7 @@ class TestPerFileContract:
             assert main(argv + ["--workers", workers]) == 1
             captured = capsys.readouterr()
             payload = ([f.read_bytes() for f in sorted(out.glob("*.lat"))]
-                       if command == "push" else
-                       captured.out if command == "tune" else out.read_bytes())
+                       if command == "push" else out.read_bytes())
             # push's timing table differs run to run; decode's score lines stay
             stderr = captured.err if command != "push" else None
             runs[workers] = (captured.out, payload, error_lines(captured.err), stderr)
@@ -704,8 +697,6 @@ class TestPerFileContract:
         assert runs["1"][2] == ["002b: no final state"]
         if command == "push":
             assert len(runs["1"][1]) == 6
-        if command == "tune":
-            assert runs["1"][1] == ""
         if command == "decode":
             assert runs["1"][1].count(b"\n") == 6
             ids = [line.split(":")[0] for line in runs["1"][3].splitlines()[:-1]]
@@ -769,15 +760,13 @@ class TestPerFileContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
-    @pytest.mark.parametrize("command", ["push", "decode", "nbest", "tune"])
+    @pytest.mark.parametrize("command", ["push", "decode", "nbest"])
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_is_usage_error(self, ws, tmp_path, capsys, recorded,
                                               command, workers):
         argv = [command, str(ws / "pushed")]
         if command == "push":
             argv.append(str(tmp_path / "out"))
-        if command == "tune":
-            argv.append(str(ws / "refs.txt"))
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--symtab", str(ws / "symtab.txt"), "--workers", workers])
         assert exc.value.code == 2
