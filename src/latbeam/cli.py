@@ -292,14 +292,14 @@ def _read_nbest_file(path, symbols):
     Every line is checked as it is read, so a bad line fails, in file
     order, before any list is yielded; a list that NBestList refuses
     fails when its turn comes. Until then each id's entries wait as
-    three array columns: token ids, where each entry's tokens end (32
-    bits each, so a list holds at most 2**32 - 1 tokens), and
-    log-probabilities, a few bytes a token where tuples of ints take
-    about 20.
+    three array columns: token ids (8, 16, 32 or 64 bits each), where
+    each entry's tokens end (32 bits each, so a list holds at most
+    2**32 - 1 tokens), and log-probabilities. With 8-bit ids that is
+    about 3 bytes a token, where tuples of ints take about 20.
     """
     # token ids in the narrowest unsigned type that holds the table's ids
     top = max(symbols.ids(), default=0)
-    typecode = next((t for t in "HIQ" if top < 1 << 8 * array(t).itemsize), "Q")
+    typecode = next((t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize), "Q")
     columns: dict[str, tuple[array, array, array]] = {}
     with _file_errors(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

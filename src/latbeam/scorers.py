@@ -266,10 +266,15 @@ def load_ngram_model(path, symbols) -> NgramScorer:
     """Read a model written by write_ngram_model.
 
     Each stored context row must still be a proper distribution within
-    STOCHASTIC_TOL, otherwise the file is rejected naming the context.
+    STOCHASTIC_TOL, otherwise the file is rejected naming the first such
+    context in file order. <s> pads contexts and is never an event. Each
+    distinct number text is parsed once, so the model holds one float
+    for each distinct log-probability however many lines repeat it, and
+    each row is freed as its prediction is built.
     """
     rows: dict[tuple[int, ...], dict[int, float]] = {}
     ids: dict[str, int] = {}  # each symbol resolved once, on first sight
+    numbers: dict[str, float] = {}  # each number text parsed once
     by_text: dict[str, dict[int, float]] = {}   # context text -> its row
 
     def resolve(sym: str) -> int:
@@ -277,6 +282,12 @@ def load_ngram_model(path, symbols) -> NgramScorer:
         if ident is None:
             ident = ids[sym] = _sym_to_id(sym, symbols)
         return ident
+
+    def number(text: str) -> float:
+        value = numbers.get(text)
+        if value is None:
+            value = numbers[text] = float(text)
+        return value
 
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -290,8 +301,8 @@ def load_ngram_model(path, symbols) -> NgramScorer:
                 raise ScorerFormatError(
                     f"{path}: line {lineno}: expected tokens, logprob, backoff")
             try:
-                lp = float(fields[-2])
-                float(fields[-1])
+                lp = number(fields[-2])
+                number(fields[-1])
             except ValueError:
                 raise ScorerFormatError(
                     f"{path}: line {lineno}: bad number") from None
@@ -300,12 +311,19 @@ def load_ngram_model(path, symbols) -> NgramScorer:
             if row is None:
                 ctx = tuple([resolve(sym) for sym in ctx_text.split()])
                 row = by_text[ctx_text] = rows.setdefault(ctx, {})
-            row[resolve(fields[-3])] = lp
+            event = resolve(fields[-3])
+            if event == BOS_ID:
+                raise ScorerFormatError(
+                    f"{path}: line {lineno}: {BOS_SYM} pads contexts, never an event")
+            row[event] = lp
+    del by_text
     if () not in rows:
         raise ScorerFormatError(f"{path}: missing empty-context rows")
-    table = {}
     vocab = frozenset(e for e in rows[()] if e >= 0)
-    for ctx, row in rows.items():
+    order = max(len(ctx) for ctx in rows) + 1
+    table = {}
+    for ctx in list(rows):   # file order; each row is freed once built
+        row = rows.pop(ctx)
         if UNK_ID not in row or EOS_ID not in row:
             raise ScorerFormatError(
                 f"{path}: context {ctx!r} lacks {UNK_SYM} or {EOS_SYM}")
@@ -314,7 +332,6 @@ def load_ngram_model(path, symbols) -> NgramScorer:
             raise ScorerFormatError(
                 f"{path}: context {ctx!r} sums to exp({total:.3e}), not 1")
         table[ctx] = _to_prediction(row)
-    order = max(len(ctx) for ctx in rows) + 1
     return NgramScorer(order, vocab, table)
 
 

@@ -279,6 +279,48 @@ class TestRescoreContract:
         assert first.source_id == "000" and len(first) == 100
         assert held / n_tokens < 8
 
+    def test_reader_keeps_one_byte_per_id_below_256(self, tmp_path):
+        # a table whose top id is 255 keeps its token ids in bytes
+        words = [f"w{i:03d}" for i in range(1, 256)]
+        symbols = parse_symbols("<eps> 0\n" + "".join(
+            f"{w} {i}\n" for i, w in enumerate(words, start=1)))
+        rng = random.Random(5)
+        path = tmp_path / "big.nbest"
+        n_tokens = 0
+        with open(path, "w", encoding="utf-8") as fh:
+            for ident in range(50):
+                for rank in range(100):
+                    tokens = [words[rank]] + rng.choices(words, k=rng.randint(4, 14))
+                    n_tokens += len(tokens)
+                    fh.write(f"{ident:03d} ||| {' '.join(tokens)} ||| {-0.01 * rank!r}\n")
+        tracemalloc.start()
+        try:
+            lists = iter(cli._read_nbest_file(path, symbols))
+            first = next(lists)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.source_id == "000" and len(first) == 100
+        assert held / n_tokens < 3.5
+
+    def test_id_column_width_does_not_change_output(self, ws, nbest_file, tmp_path,
+                                                    capsys):
+        # an unused top id of 255 keeps 8-bit token ids, one of 256 16-bit
+        # ones; both read the same lists
+        symtab = (ws / "symtab.txt").read_text()
+        assert max(parse_symbols(symtab).ids()) < 255
+        runs = {}
+        for top in (255, 256):
+            table = tmp_path / f"symtab{top}.txt"
+            table.write_text(f"{symtab}unused {top}\n")
+            for mode in ("dfs", "naive"):
+                assert main(["rescore", str(nbest_file), "--symtab", str(table),
+                             "--scorer", "ngram", "--model", str(ws / "model.txt"),
+                             "--mode", mode]) == 0
+                runs[top, mode] = capsys.readouterr().out
+        assert runs[255, "dfs"]
+        assert len(set(runs.values())) == 1
+
     def test_list_order_does_not_change_output(self, ws, nbest_file, tmp_path, capsys):
         lines = nbest_file.read_text().splitlines(keepends=True)
         # as `sort -s -k1,1r`: ids descending, each id's entries in file order
@@ -422,6 +464,19 @@ class TestFailureModes:
                      "--symtab", str(ws / "symtab.txt"),
                      "--scorer", "table"]) == 1
         assert "--model" in capsys.readouterr().err
+
+    def test_bos_event_in_model_is_one_line_error(self, ws, tmp_path):
+        # the four quarters sum to one, so only the <s> event is wrong
+        word = parse_symbols((ws / "symtab.txt").read_text()).sym_of(1)
+        quarter = repr(math.log(1 / 4))
+        model = tmp_path / "bos.txt"
+        model.write_text("".join(f"{event} {quarter} 0\n"
+                                 for event in (word, "<unk>", "</s>", "<s>")))
+        proc = run_cli("decode", ws / "pushed", "--symtab", ws / "symtab.txt",
+                       "--scorer", "ngram", "--model", model)
+        assert proc.returncode == 1
+        assert proc.stderr == f"latbeam: {model}: line 4: <s> pads contexts, never an event\n"
+        assert proc.stdout == ""
 
     def test_rescore_bad_nbest_list_is_one_line_error(self, ws, tmp_path):
         nbest = tmp_path / "bad.nbest"

@@ -1,15 +1,19 @@
 """Call counts that grow linearly with the input.
 
-Each path runs on one demo set and on that set repeated twice. Repeated
-sentences cost the same calls again, so the second count is twice the
-first less the fixed costs, which are counted once: a cost that grows
-faster than the input pushes it above twice the first. Calls are counted
+The corpus paths run on one demo set and on that set repeated twice.
+Repeated sentences cost the same calls again, so the second count is
+twice the first less the fixed costs, which are counted once: a cost
+that grows faster than the input pushes it above twice the first. The
+lattice paths run on a sausage of n positions and on one of 2n whose
+first n positions are the same; there the count may stray a little
+either side of twice, as the second half's arcs differ. Calls are counted
 with sys.setprofile, as `call` (Python) and `c_call` (built-in) events,
 which give the same counts on every run. Limit: a built-in call that is
 itself linear, such as `x in list` or a slice, counts once, so a
 quadratic cost hidden in one does not show here.
 """
 
+import random
 import sys
 
 import pytest
@@ -17,8 +21,11 @@ import pytest
 from latbeam.bleu import corpus_bleu, tune_grid
 from latbeam.decoder import DecoderConfig, decode
 from latbeam.posterior import prepare
-from latbeam.scorers import UniformScorer
-from latbeam.synth import build_demo
+from latbeam.scorers import UniformScorer, train_ngram
+from latbeam.synth import build_demo, sausage_lattice
+from latbeam.wfsa import SymbolTable, parse_wfsa, serialize_wfsa
+
+POSITIONS = 1000
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -66,3 +73,74 @@ def test_tune_grid_calls_grow_linearly(demo_set):
     lattices, scorer, _, refs = demo_set
     assert_linear(tune_grid, lambda k: (lattices * k, refs * k, scorer, [0.0, 0.5, 1.0]))
 
+
+@pytest.fixture(scope="module")
+def sausages():
+    """Raw lattice, its text and its prepared form, at n and 2n positions."""
+    symbols = SymbolTable()
+    for i in range(1, 41):
+        symbols.add(f"t{i:02d}")
+    sizes = []
+    for n in (POSITIONS, 2 * POSITIONS):
+        raw = sausage_lattice(n, seed=13)
+        sizes.append((raw, serialize_wfsa(raw, symbols), prepare(raw)))
+    return symbols, sizes
+
+
+def assert_doubles(fn, make_args, slack):
+    """fn on 2n positions makes at most (2 + slack) times the calls it
+    makes on n positions, and fixed costs leave it at least 1.9 times."""
+    fn(*make_args(0))
+    once, twice = (count_calls(fn, *make_args(i)) for i in (0, 1))
+    assert 1.9 * once <= twice <= (2 + slack) * once, (once, twice)
+
+
+def test_parse_wfsa_calls_grow_linearly(sausages):
+    symbols, sizes = sausages
+    assert_doubles(parse_wfsa, lambda i: (sizes[i][1], symbols), 0.01)
+
+
+def test_serialize_wfsa_calls_grow_linearly(sausages):
+    symbols, sizes = sausages
+    assert_doubles(serialize_wfsa, lambda i: (sizes[i][0], symbols), 0.01)
+
+
+def test_prepare_calls_grow_linearly(sausages):
+    _, sizes = sausages
+    assert_doubles(prepare, lambda i: (sizes[i][0],), 0.01)
+
+
+@pytest.fixture(scope="module")
+def ngram():
+    rng = random.Random(3)
+    corpus = [[rng.randint(1, 40) for _ in range(rng.randint(5, 15))]
+              for _ in range(200)]
+    return train_ngram(corpus, order=3)
+
+
+@pytest.mark.parametrize("local_softmax", [False, True])
+@pytest.mark.parametrize("beam", [1, 12])
+@pytest.mark.parametrize("scorer_name", ["uniform", "ngram"])
+def test_decode_calls_grow_linearly(sausages, ngram, scorer_name, beam,
+                                    local_softmax):
+    _, sizes = sausages
+    scorer = UniformScorer(range(1, 41)) if scorer_name == "uniform" else ngram
+    cfg = DecoderConfig(beam=beam, local_softmax=local_softmax)
+    # how many distinct n-gram contexts a step predicts for depends on
+    # the arcs, so the second half of the longer sausage may cost a few
+    # percent more or less than the first
+    slack = 0.01 if scorer_name == "uniform" else 0.1
+    assert_doubles(decode, lambda i: (sizes[i][2], scorer, cfg), slack)
+
+
+def test_count_calls_restores_the_profile_function():
+    def outer(frame, event, arg):
+        pass
+
+    previous = sys.getprofile()
+    sys.setprofile(outer)
+    try:
+        count_calls(len, ())
+        assert sys.getprofile() is outer
+    finally:
+        sys.setprofile(previous)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from latbeam.scorers import (
     logsumexp,
     train_ngram,
 )
+from latbeam.synth import build_demo
 from latbeam.wfsa import SymbolTable
 
 from oracles import perplexity
@@ -204,6 +206,16 @@ class TestNgramScorerState:
         assert left != right
 
 
+@pytest.fixture(scope="module")
+def demo_model_file(tmp_path_factory):
+    """The order-3 model of the seed-13 demo's training corpus, written
+    to a file, and the demo's symbol table."""
+    demo = build_demo(seed=13)
+    path = tmp_path_factory.mktemp("model") / "m.ngram"
+    train_ngram(demo.train_corpus, order=3).save(path, demo.symbols)
+    return path, demo.symbols
+
+
 class TestNgramModelFile:
     def test_save_load_round_trip(self, tmp_path):
         symbols = make_symbols()
@@ -289,6 +301,10 @@ class TestNgramModelFile:
         ("a -1.0", "expected tokens, logprob, backoff"),
         ("a x 0", "bad number"),
         ("a b -1.0 zero", "bad number"),
+        # both texts of line 3 are parsed and kept by now; a bad text
+        # after them still fails
+        ("a b 0 -1.0.5", "bad number"),
+        ("<s> -1.0 0", "<s> pads contexts, never an event"),
     ])
     def test_bad_line_names_its_number(self, tmp_path, bad, message):
         symbols = make_symbols()
@@ -303,6 +319,52 @@ class TestNgramModelFile:
         path.write_text("a b -0.1 0\n", encoding="utf-8")
         with pytest.raises(ScorerFormatError, match="empty-context"):
             load_ngram_model(path, symbols)
+
+    @pytest.mark.parametrize("b_row, a_row, message", [
+        ("b a -0.1 0\nb </s> -3.0 0\n", "a a -0.1 0\na <unk> -3.0 0\n",
+         "lacks <unk> or </s>"),
+        ("b a -0.1 0\nb <unk> -0.1 0\nb </s> -0.1 0\n",
+         "a a -0.1 0\na <unk> -0.1 0\na </s> -0.1 0\n", "sums to"),
+    ])
+    def test_first_bad_context_in_file_order_is_named(self, tmp_path, b_row,
+                                                      a_row, message):
+        symbols = make_symbols()
+        third = repr(math.log(1 / 3))
+        path = tmp_path / "bad.ngram"
+        # context b comes first in the file, after the empty context
+        path.write_text(f"a {third} 0\n<unk> {third} 0\n</s> {third} 0\n"
+                        + b_row + a_row, encoding="utf-8")
+        with pytest.raises(ScorerFormatError, match=message) as exc:
+            load_ngram_model(path, symbols)
+        assert f"context {(B,)!r}" in str(exc.value)
+
+    def test_rows_share_one_float_per_number_text(self, demo_model_file):
+        path, symbols = demo_model_file
+        texts = set()
+        for line in path.read_text(encoding="utf-8").splitlines():
+            texts.update(line.split()[-2:])
+        model = load_ngram_model(path, symbols)
+        floats = {id(lp) for pred in model.table.values()
+                  for lp in (*pred.in_vocab.values(), pred.unk_logprob,
+                             pred.eos_logprob)}
+        assert len(floats) <= len(texts)
+
+    def test_model_is_held_once(self, demo_model_file):
+        # 26,754 lines and 287 distinct numbers; one float object a line
+        # and the rows held twice while loading came to 54 bytes a line
+        # and a peak 1.56 times that
+        path, symbols = demo_model_file
+        n_lines = len(path.read_text(encoding="utf-8").splitlines())
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            model = load_ngram_model(path, symbols)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.order == 3
+        assert (held - before) / n_lines < 40
+        assert (peak - before) < 1.25 * (held - before)
 
 
 class TestTableScorer:
