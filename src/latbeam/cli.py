@@ -10,9 +10,6 @@ as one `latbeam: <path>: <reason>` line, or as a per-item error for a
 lattice file. File-level work is deterministic, so --workers never changes
 any output byte. With --workers, each worker process loads the symbol
 table and scorer once, and the pool never has more processes than files.
-
-The LG_SEED environment variable fixes the seed of the demo generator
-(the --seed flag wins when given).
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import copy
 import gc
 import json
 import math
-import os
 import sys
 from array import array
 from contextlib import contextmanager, nullcontext
@@ -527,13 +523,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("LG_SEED", "13"))
-    demo = build_demo(seed=seed, n_sentences=args.sentences)
+    demo = build_demo(seed=args.seed, n_sentences=args.sentences)
     with _file_errors(args.outdir):
         write_demo(demo, args.outdir)
-    print(f"wrote demo set ({args.sentences} sentences, seed {seed}) "
+    print(f"wrote demo set ({args.sentences} sentences, seed {args.seed}) "
           f"to {args.outdir}", file=sys.stderr)
     return 0
 
@@ -634,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("demo", help="write the bundled synthetic demo set")
     p.add_argument("outdir")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=13)
     p.add_argument("--sentences", type=positive_int, default=50)
     p.set_defaults(func=cmd_demo)
 

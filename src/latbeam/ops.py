@@ -7,16 +7,13 @@ instead, and prepare() owns its intermediates and hands them over.
 _rm_epsilon sorts in place each row that merging would give back as it
 is (no repeated (label, dst), and every weight finite and not -0.0,
 since the stage writes 0.0 + weight) and makes that list a row of its
-result. _determinize returns its input itself when its fast path would
-renumber no state and rewrite no weight. _minimize and _push_log
-rewrite every weight and empty the rows of their input: _push_log each
-row once it has rewritten it, _minimize each row once it has built
-that state's signature, from which, one per class, it builds its
-result. rm_epsilon hands its core a copy (Wfsa.copy), minimize and
-push_log a list of rows of their own (_shallow), and determinize
-returns a copy when its core returns its input. rm_epsilon and
-determinize's fast path put the input's own Arc into their output
-wherever it comes out unchanged.
+result. _minimize and _push_log rewrite every weight and empty the
+rows of their input: _push_log each row once it has rewritten it,
+_minimize each row once it has built that state's signature, from
+which, one per class, it builds its result. rm_epsilon hands its core a
+copy (Wfsa.copy), minimize and push_log a list of rows of their own
+(_shallow); determinize always builds a new automaton. rm_epsilon puts
+the input's own Arc into its output wherever it comes out unchanged.
 
 The operations compose into the standard preprocessing pipeline
 
@@ -29,20 +26,20 @@ log-probabilities. Arcs are Arc NamedTuples that unpack as
 attributes. Each stage writes its output arcs once, straight into the
 arc lists, and skips work its input does not need: rm_epsilon builds
 no closure for epsilon-free input, where it only merges parallel arcs
-and drops arcs of infinite cost; determinize only renumbers the
-accessible states in BFS order when its input is already deterministic
-(with finite arc weights), and returns its input when that changes
-nothing; and the trim returns its input when it drops nothing. There
-is one trim (_connect), shared by connect, rm_epsilon (on its output),
-minimize (on its input) and so prepare(): it marks accessible and
-coaccessible states in bytearrays, which works on cyclic input, and
-renumbers the kept states in ascending order. rm_epsilon, determinize,
-minimize and push_log are wrappers around private cores, the last
-three checked; prepare() checks its input once and
-chains the cores, handing each the topological order the stage before
-it already knows. minimize, push_log and n_shortest_strings share one
-shortest-distance pass (_potentials), differing only in the semiring
-plus they hand it.
+and drops arcs of infinite cost; and the trim returns its input when
+it drops nothing. prepare() runs no subset construction on a lattice
+that is deterministic once epsilons are removed: minimize numbers its
+classes in BFS order and reads arcs in label order, so the numbering of
+its input never reaches its output. There is one trim (_connect),
+shared by connect, rm_epsilon (on its output), minimize (on its input)
+and so prepare(): it marks accessible and coaccessible states in
+bytearrays, which works on cyclic input, and renumbers the kept states
+in ascending order. rm_epsilon, determinize (_subsets), minimize and
+push_log are wrappers around private cores, the last three checked;
+prepare() checks its input once and chains the cores, handing each the
+topological order the stage before it already knows. minimize,
+push_log and n_shortest_strings share one shortest-distance pass
+(_potentials), differing only in the semiring plus they hand it.
 """
 
 from __future__ import annotations
@@ -263,85 +260,14 @@ def determinize(w: Wfsa) -> Wfsa:
     the leftover relative to that, so path weights are preserved while
     every string ends up with exactly one path. A tropical input keeps
     only the best path per string; a log-tagged input pools the mass of
-    duplicate paths. Output arcs are sorted by label. Deterministic input
-    whose arc weights are all finite takes a fast path with the same
-    result: every subset is then one state with residual zero, so the
-    construction only renumbers the accessible states in BFS order.
+    duplicate paths. Output arcs are sorted by label, and the result is
+    a new automaton even when the input is already deterministic. An
+    input with no states gives an empty automaton.
     """
     if w.has_epsilon():
         raise EpsilonArcError("determinize requires an epsilon-free lattice")
-    out = _determinize(w, _require_acyclic(w, "determinize"))[0]
-    return w.copy() if out is w else out
-
-
-def _determinize(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:
-    """determinize without its checks, for epsilon-free w with the
-    topological order given. Also returns the result's topological
-    order. An input with no states gives an empty automaton, and one the
-    fast path would build again state for state and arc for arc gives
-    (w, order) itself; any other result shares no row list with w.
-
-    The fast path detects determinism in its own pass. On the first
-    repeated label out of a state, or the first infinite or NaN arc
-    weight, it hands over to the subset construction: such a weight
-    gives a NaN residual, and NaN subsets never compare equal, so the
-    subset construction does more there than renumber.
-    """
-    if not w.num_states:
-        return Wfsa(w.semiring), []
-    if _renumbers_nothing(w):
-        return w, order
-    arcs, finals = w.arcs, w.finals
-    renum = [-1] * w.num_states
-    renum[w.start] = 0
-    visit = [w.start]          # input state of each output state; grows as BFS
-    out = Wfsa(w.semiring)
-    for q in visit:
-        row = []
-        prev = EPS
-        for arc in sorted(arcs[q]):
-            label, weight, dst = arc
-            if label == prev or not -INF < weight < INF:
-                return _subsets(w, order)
-            prev = label
-            nid = renum[dst]
-            if nid < 0:
-                nid = renum[dst] = len(visit)
-                visit.append(dst)
-            # INF is the identity of both additions, so the subset
-            # construction's plus(INF, 0.0 + weight) is 0.0 + weight: the
-            # input arc itself when it keeps its dst and is not -0.0
-            if nid == dst and _as_is(weight):
-                row.append(arc)
-            else:
-                row.append(_new(Arc, (label, 0.0 + weight, nid)))
-        out.arcs.append(row)
-    for q, f in finals.items():
-        if renum[q] >= 0 and f != INF:
-            out.finals[renum[q]] = 0.0 + f
-    return out, [renum[q] for q in order if renum[q] >= 0]
-
-
-def _renumbers_nothing(w: Wfsa) -> bool:
-    """Whether determinize's fast path would give back w as it is: the
-    start is 0, BFS from it numbers every state with its own id, each
-    row's labels strictly increase, and every arc and final weight is
-    _as_is. Under BFS, each state that is reached first must take the
-    next free id, and each state must be reached before its turn."""
-    if w.start != 0:
-        return False
-    numbered = 1
-    for q, row in enumerate(w.arcs):
-        if q >= numbered:
-            return False
-        prev = EPS
-        for label, weight, dst in row:
-            if label <= prev or not _as_is(weight) or dst > numbered:
-                return False
-            if dst == numbered:
-                numbered += 1
-            prev = label
-    return all(map(_as_is, w.finals.values()))
+    order = _require_acyclic(w, "determinize")
+    return _subsets(w, order)[0] if w.num_states else Wfsa(w.semiring)
 
 
 def _subsets(w: Wfsa, order: list[int]) -> tuple[Wfsa, list[int]]:

@@ -187,10 +187,11 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     that copy, so epsilon removal runs on it in place: each row that
     merging would give back as it is is sorted in place and becomes a
     row of its output, and every other arc that comes out unchanged
-    goes into its output as it is. Determinize returns its input itself
-    when its fast path would renumber no state and rewrite no weight,
-    and otherwise puts unchanged arcs into its output as they are. On a
-    long sausage no stage before minimize builds a second set of rows.
+    goes into its output as it is. The subset construction runs only
+    when that output is not deterministic; otherwise it goes to minimize
+    as it is, whose output does not depend on how its input's states are
+    numbered. On a long sausage no stage before minimize builds a second
+    set of rows.
     Minimize and push rewrite every weight and empty the rows of
     their input as they go: minimize each row once its state's
     signature is built, before its result exists, and push each row
@@ -210,7 +211,9 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     work = ops._rm_epsilon(work)
     if not work.finals:
         raise EmptyLatticeError("lattice accepts nothing")
-    work, order = ops._determinize(work, ops._require_acyclic(work, "determinize"))
+    order = ops._require_acyclic(work, "determinize")
+    if not work.is_deterministic():
+        work, order = ops._subsets(work, order)
     t1 = time.perf_counter()
     work, order = ops._minimize(work, order)
     t2 = time.perf_counter()

@@ -24,6 +24,7 @@ from latbeam.cli import main
 from latbeam.decoder import decode
 from latbeam.posterior import PosteriorLattice
 from latbeam.scorers import MAX_ORDER
+from latbeam.synth import build_demo, write_demo
 from latbeam.wfsa import parse_symbols, parse_wfsa
 from latbeam import semiring
 
@@ -847,6 +848,20 @@ class TestPerFileContract:
         assert "wrote demo set" not in proc.stderr
         assert proc.stdout == ""
         assert not outdir.exists()
+
+    def test_demo_seed_comes_from_the_flag_alone(self, tmp_path, monkeypatch):
+        # no environment variable sets the seed: --seed does, 13 by default
+        monkeypatch.setenv("LG_SEED", "abc")
+        proc = run_cli("demo", tmp_path / "got", "--sentences", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert "seed 13" in proc.stderr
+        write_demo(build_demo(seed=13, n_sentences=2), tmp_path / "want")
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        assert files(tmp_path / "got") == files(tmp_path / "want")
 
     def test_tune_names_the_bad_lattice(self, ws, tmp_path, capsys):
         latdir = with_bad_lattice(ws / "pushed", tmp_path / "lats")

@@ -26,7 +26,6 @@ from latbeam.errors import (
     NotDeterministicError,
 )
 from latbeam.ops import (
-    _determinize,
     _subsets,
     check_stochastic,
     connect,
@@ -37,7 +36,7 @@ from latbeam.ops import (
     rm_epsilon,
 )
 from latbeam.posterior import prepare
-from latbeam.synth import sausage_lattice
+from latbeam.synth import build_demo, sausage_lattice
 from latbeam.semiring import INF
 from latbeam.wfsa import EPS, Arc, Wfsa, serialize_wfsa, topological_order
 
@@ -247,49 +246,6 @@ class TestDeterminize:
         out = determinize(w)
         assert string_costs(out) == pytest.approx(string_costs(w))
 
-    @pytest.mark.parametrize("tag", [semiring.TROPICAL, semiring.LOG])
-    def test_fast_path_matches_subset_construction(self, tag, monkeypatch):
-        # deterministic input is renumbered instead of subset-constructed;
-        # the result must be the one the subset construction builds
-        handed_over = []
-
-        def counting(w, order):
-            handed_over.append(w)
-            return _subsets(w, order)
-
-        monkeypatch.setattr(ops, "_subsets", counting)
-        symbols = symbols_from_tokens(f"w{i}" for i in range(1, 7))
-        rng = random.Random(97)
-        for case in range(60):
-            n = rng.randint(2, 25)
-            w = Wfsa(tag)
-            w.ensure_state(n)  # state n has arcs out but none in
-            if case % 2:
-                w.set_final(n, 1.0)
-            for q in [*range(n - 1), n]:
-                labels = rng.sample(range(1, 6), rng.randint(0, 3))
-                for label in labels:
-                    dst = rng.randrange(q + 1, n) if q < n - 1 else rng.randrange(n)
-                    w.add_arc(q, label, rng.choice([-0.0, rng.uniform(-1.0, 5.0)]), dst)
-            inf_arc = case % 4 == 0
-            # label 6 is used nowhere else; starting at 1 leaves 0 inaccessible
-            w.add_arc(0, 6, INF if inf_arc else 0.5, n - 1)
-            w.start = 0 if inf_arc or n == 2 else rng.choice([0, 1])
-            w.set_final(n - 1, rng.uniform(0.0, 2.0))
-            if case % 3 == 0:
-                w.set_final(w.start, rng.uniform(0.0, 2.0))
-            handed_over.clear()
-            out, order = _determinize(w, topological_order(w))
-            # an infinite arc weight hands over to the subset construction
-            assert handed_over == ([w] if inf_arc else [])
-            assert repr(determinize(w).arcs) == repr(out.arcs)
-            ref, ref_order = _subsets(w, topological_order(w))
-            assert serialize_wfsa(out, symbols) == serialize_wfsa(ref, symbols)
-            assert repr(out.arcs) == repr(ref.arcs)
-            assert repr(sorted(out.finals.items())) == repr(sorted(ref.finals.items()))
-            for result, result_order in ((out, order), (ref, ref_order)):
-                assert_topological(result, result_order)
-
     def test_rejects_epsilon_input(self):
         w = Wfsa()
         w.add_arc(0, EPS, 0.0, 1)
@@ -452,7 +408,7 @@ class TestMinimizeConsumes:
         tracemalloc.start()
         try:
             work = ops.rm_epsilon(sausage_lattice(4000, seed=13).retagged(semiring.LOG))
-            work, order = ops._determinize(work, ops._require_acyclic(work, "determinize"))
+            order = topological_order(work)
             size = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             out, _ = ops._minimize(work, order)
@@ -758,13 +714,14 @@ class TestOwnership:
             assert_unchanged(w, snap)
 
     def test_determinize_on_both_paths(self, monkeypatch):
+        # deterministic input or not, determinize is the subset construction
         subsets = []
         monkeypatch.setattr(ops, "_subsets", lambda *a: subsets.append(1) or _subsets(*a))
-        fast = l1()
-        snap = snapshot(fast)
-        determinize(fast)
-        assert_unchanged(fast, snap)
-        assert not subsets
+        deterministic = l1()
+        snap = snapshot(deterministic)
+        determinize(deterministic)
+        assert_unchanged(deterministic, snap)
+        assert len(subsets) == 1
         nondeterministic = Wfsa()
         nondeterministic.add_arc(0, A, 0.5, 1)
         nondeterministic.add_arc(0, A, 0.9, 2)
@@ -773,7 +730,7 @@ class TestOwnership:
         snap = snapshot(nondeterministic)
         determinize(nondeterministic)
         assert_unchanged(nondeterministic, snap)
-        assert subsets
+        assert len(subsets) == 2
 
     @pytest.mark.parametrize("make", [l1, with_dead_state])
     def test_minimize_whether_or_not_the_trim_drops_states(self, make):
@@ -817,11 +774,9 @@ class TestArcSharing:
         assert out.arcs[1] == sorted(w.arcs[1])
         assert all(mine is theirs for mine, theirs in zip(out.arcs[1], sorted(w.arcs[1])))
         assert out.arcs[3][0] is w.arcs[3][0]
-        # BFS keeps every state's number, so determinize keeps every arc
-        det = determinize(out)
-        assert det.arcs == out.arcs
-        assert all(mine is theirs for mine_row, their_row in zip(det.arcs, out.arcs)
-                   for mine, theirs in zip(mine_row, their_row))
+        # BFS keeps every state's number, so determinize builds every
+        # arc again
+        assert determinize(out).arcs == out.arcs
 
     def test_trim_keeps_arcs_whose_dst_keeps_its_number(self):
         # the trim drops unreachable state 4 and renumbers no other state
@@ -849,7 +804,9 @@ class TestArcSharing:
         out = op(w)
         assert out.arcs[0] == [Arc(A, 0.0, 1)]
         assert math.copysign(1.0, out.arcs[0][0].weight) == 1.0
-        assert out.arcs[1][0] is w.arcs[1][0]
+        assert out.arcs[1] == w.arcs[1]
+        if op is rm_epsilon:
+            assert out.arcs[1][0] is w.arcs[1][0]
 
 
 def shares_no_row(a: Wfsa, b: Wfsa) -> bool:
@@ -897,22 +854,47 @@ def two_dsts_against_arc_order() -> Wfsa:
     return w
 
 
+TWO_DSTS = semiring.log_add(1.0, 0.5)
+
+
 class TestPassThrough:
-    """The cores give back what they would only build again: _rm_epsilon
-    a row that merging leaves as it is, _determinize an input its fast
-    path would renumber and rewrite nowhere. The public operations still
-    share no row list with their argument."""
+    """What is only built again passes through: _rm_epsilon gives back a
+    row that merging leaves as it is, and prepare hands a lattice that
+    is deterministic after epsilon removal to minimize as it is. The
+    public operations still share no row list with their argument."""
 
     def identity_numbered(self) -> Wfsa:
         w = rm_epsilon(sausage_lattice(50, seed=13))
         assert w.start == 0 and topological_order(w) == list(range(w.num_states))
         return w
 
-    def test_determinize_core_returns_its_input(self):
-        for w in (l1(), self.identity_numbered()):
-            order = topological_order(w)
-            assert _determinize(w, order) == (w, order)
-            assert _determinize(w, order)[0] is w
+    def test_prepare_runs_subsets_only_on_nondeterministic_lattices(self, monkeypatch):
+        handed = {"_subsets": [], "_rm_epsilon": [], "_minimize": []}
+
+        def recording(name, takes_input):
+            core = getattr(ops, name)
+
+            def record(w, *rest):
+                out = core(w, *rest)
+                handed[name].append(w if takes_input else out)
+                return out
+            monkeypatch.setattr(ops, name, record)
+
+        recording("_subsets", True)
+        recording("_rm_epsilon", False)
+        recording("_minimize", True)
+        lattices = build_demo(seed=13, n_sentences=50).lattices
+        assert sum(not rm_epsilon(raw).is_deterministic() for raw in lattices) == 20
+        for raw in lattices:
+            prepare(raw)
+        assert len(handed["_subsets"]) == 20
+        assert all(not w.is_deterministic() for w in handed["_subsets"])
+        for name in handed:
+            handed[name].clear()
+        prepare(sausage_lattice(2000, seed=13))
+        assert handed["_subsets"] == []
+        [epsilon_free], [minimized] = handed["_rm_epsilon"], handed["_minimize"]
+        assert minimized is epsilon_free
 
     @pytest.mark.parametrize("op", [determinize, rm_epsilon])
     def test_public_operations_share_no_row_list(self, op):
@@ -946,24 +928,45 @@ class TestPassThrough:
         assert out.arcs[0] == [Arc(A, 1.0, 1), Arc(A, 0.5, 2)]
         assert rm_epsilon(two_dsts_against_arc_order()).arcs == out.arcs
 
+    def test_numbering_of_a_deterministic_lattice_does_not_reach_the_output(self):
+        # the states of a sausage numbered against BFS order, rows shuffled
+        # and the start not 0: no subset construction renumbers them first
+        w = sausage_lattice(300, seed=29)
+        rng = random.Random(5)
+        renum = list(range(w.num_states))
+        rng.shuffle(renum)
+        shuffled = Wfsa(w.semiring)
+        shuffled.ensure_state(w.num_states - 1)
+        shuffled.start = renum[w.start]
+        for q, row in enumerate(w.arcs):
+            for label, weight, dst in rng.sample(row, len(row)):
+                shuffled.add_arc(renum[q], label, weight, renum[dst])
+        shuffled.finals = {renum[q]: f for q, f in w.finals.items()}
+        assert shuffled.start != 0
+        assert topological_order(shuffled) != list(range(shuffled.num_states))
+        assert rm_epsilon(shuffled).is_deterministic()
+        symbols = symbols_from_tokens(f"w{i}" for i in range(1, 41))
+        a, b = prepare(w), prepare(shuffled)
+        assert serialize_wfsa(a.inner, symbols) == serialize_wfsa(b.inner, symbols)
+        assert repr(a.raw_total) == repr(b.raw_total)
+
     @pytest.mark.parametrize("make, arcs, finals", [
         (lambda: chain([-0.0, 0.5]), [[Arc(A, 0.0, 1)], [Arc(B, 0.5, 2)], []], {2: 0.0}),
         (negative_zero_final, [[Arc(A, 0.5, 1)], [Arc(B, 0.25, 2)], []], {2: 0.0}),
         (nonzero_start, [[Arc(A, 0.5, 1)], []], {1: 0.5}),
         (renumbered_by_bfs, [[Arc(A, 0.5, 1)], [Arc(B, 0.25, 2)], []], {2: 0.5}),
         (inaccessible_state, [[Arc(A, 0.5, 1)], [Arc(B, 0.25, 2)], []], {2: 0.0}),
-        # not deterministic: the subset construction's result
-        (two_dsts_against_arc_order, None, None),
+        # A out of 0 pools 1.0 into 1 and 0.5 into 2
+        (two_dsts_against_arc_order,
+         [[Arc(A, TWO_DSTS, 1)], [Arc(B, 1.0 - TWO_DSTS + 0.25, 2)], []],
+         {1: 0.5 - TWO_DSTS + 0.0, 2: 0.0}),
     ], ids=["negative_zero_arc", "negative_zero_final", "nonzero_start",
             "bfs_renumbers", "inaccessible_state", "two_dsts"])
     def test_determinize_rebuilds_what_it_changes(self, make, arcs, finals):
         w = make()
-        out, order = _determinize(w, topological_order(w))
-        assert out is not w and shares_no_row(out, w)
+        out, order = _subsets(w, topological_order(w))
+        assert shares_no_row(out, w)
         assert_topological(out, order)
-        if arcs is None:
-            ref = _subsets(w, topological_order(w))[0]
-            arcs, finals = ref.arcs, ref.finals
         assert repr(out.arcs) == repr(arcs)
         assert repr(out.finals) == repr(finals)
         assert repr(determinize(w).arcs) == repr(out.arcs)

@@ -6,11 +6,16 @@ twice the first less the fixed costs, which are counted once: a cost
 that grows faster than the input pushes it above twice the first. The
 lattice paths run on a sausage of n positions and on one of 2n whose
 first n positions are the same; there the count may stray a little
-either side of twice, as the second half's arcs differ. Calls are counted
-with sys.setprofile, as `call` (Python) and `c_call` (built-in) events,
-which give the same counts on every run. Limit: a built-in call that is
-itself linear, such as `x in list` or a slice, counts once, so a
-quadratic cost hidden in one does not show here.
+either side of twice, as the second half's arcs differ. The n-best
+path has a bound a position instead: where the best strings part ways,
+and so how many prefixes rescoring scores, differs from one lattice to
+the next (54 to 99 calls a position at 500 to 4,000 positions, seeds 13
+and 29), while a cost that grows with the square of the length raises
+the calls a position with each doubling until they pass 150. Calls are
+counted with sys.setprofile, as `call` (Python) and `c_call` (built-in)
+events, which give the same counts on every run. Limit: a built-in call
+that is itself linear, such as `x in list` or a slice, counts once, so
+a quadratic cost hidden in one does not show here.
 """
 
 import random
@@ -18,14 +23,17 @@ import sys
 
 import pytest
 
+from latbeam.baselines import nbest_from_posterior, rescore_nbest_dfs
 from latbeam.bleu import corpus_bleu, tune_grid
 from latbeam.decoder import DecoderConfig, decode
+from latbeam.ops import determinize
 from latbeam.posterior import prepare
 from latbeam.scorers import UniformScorer, train_ngram
 from latbeam.synth import build_demo, sausage_lattice
 from latbeam.wfsa import SymbolTable, parse_wfsa, serialize_wfsa
 
 POSITIONS = 1000
+NBEST_CALLS_PER_POSITION = 150
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -108,6 +116,26 @@ def test_serialize_wfsa_calls_grow_linearly(sausages):
 def test_prepare_calls_grow_linearly(sausages):
     _, sizes = sausages
     assert_doubles(prepare, lambda i: (sizes[i][0],), 0.01)
+
+
+def test_determinize_calls_grow_linearly(sausages):
+    # the sausage is deterministic, and the public determinize still runs
+    # the subset construction on it (about 36 calls a position)
+    _, sizes = sausages
+    assert_doubles(determinize, lambda i: (sizes[i][0],), 0.01)
+
+
+def test_nbest_and_rescore_calls_stay_under_a_bound_a_position(sausages):
+    _, sizes = sausages
+    scorer = UniformScorer(range(1, 41))
+
+    def nbest_and_rescore(lattice):
+        rescore_nbest_dfs(nbest_from_posterior(lattice, 10), scorer)
+
+    nbest_and_rescore(sizes[0][2])
+    for positions, (_, _, lattice) in zip((POSITIONS, 2 * POSITIONS), sizes):
+        calls = count_calls(nbest_and_rescore, lattice)
+        assert calls <= NBEST_CALLS_PER_POSITION * positions, (positions, calls)
 
 
 @pytest.fixture(scope="module")
