@@ -12,7 +12,7 @@ may share one predict call, so the two units differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decoder import _joint, check_lambdas
 from .errors import ConfigError
@@ -21,24 +21,25 @@ from .posterior import PosteriorLattice
 from .scorers import EOS_ID
 
 
-@dataclass(slots=True)
 class NBestList:
     """Distinct lattice hypotheses with their lattice log-probabilities,
     best first."""
 
-    entries: list[tuple[tuple[int, ...], float]]
-    source_id: str = ""
+    __slots__ = ("entries", "source_id")
 
-    def __post_init__(self):
+    def __init__(self, entries: list[tuple[tuple[int, ...], float]],
+                 source_id: str = ""):
         seen = set()
         last = math.inf
-        for tokens, logprob in self.entries:
+        for tokens, logprob in entries:
             if tokens in seen:
                 raise ConfigError(f"duplicate n-best entry {tokens!r}")
             seen.add(tokens)
             if logprob > last:
                 raise ConfigError("n-best log-probabilities must be non-increasing")
             last = logprob
+        self.entries = entries
+        self.source_id = source_id
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -64,16 +65,14 @@ def nbest_from_posterior(lattice: PosteriorLattice, n: int,
     return NBestList(entries, source_id)
 
 
-@dataclass(frozen=True, slots=True)
-class RescoredEntry:
+class RescoredEntry(NamedTuple):
     tokens: tuple[int, ...]
     joint_score: float
     lattice_logprob: float
     scorer_logprob: float
 
 
-@dataclass(slots=True)
-class RescoreResult:
+class RescoreResult(NamedTuple):
     ranked: list[RescoredEntry]
     predict_calls: int
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from collections.abc import Sized
-from dataclasses import dataclass, field
+from collections.abc import Sequence, Sized
 from functools import partial
+from typing import NamedTuple
 
 from .decoder import DecoderConfig, decode
 from .errors import BleuError, ConfigError, TuneError
@@ -27,8 +27,7 @@ def _ngrams(tokens, order: int) -> Counter:
     return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
 
 
-@dataclass(slots=True)
-class BleuReport:
+class BleuReport(NamedTuple):
     score: float
     precisions: tuple[float, float, float, float]
     brevity_penalty: float
@@ -114,12 +113,11 @@ def _report(stats: tuple[int, ...]) -> BleuReport:
 _DIFFER = "development lattices and references differ in length"
 
 
-@dataclass(slots=True)
-class TuneResult:
+class TuneResult(NamedTuple):
     lambda_lat: float
     lambda_scorer: float
     bleu: BleuReport
-    history: list[tuple[float, float]] = field(default_factory=list)
+    history: Sequence[tuple[float, float]] = ()
 
 
 def tune_grid(lattices, references, scorer, grid, beam: int = 12,
@@ -199,12 +197,11 @@ def _tune_result(configs, per_lattice) -> TuneResult:
     totals = [NO_STATS] * len(configs)
     for stats in per_lattice:
         totals = list(map(_add, totals, stats))
-    best: TuneResult | None = None
+    best = None  # (lambda_lat, report)
     history: list[tuple[float, float]] = []
     for cfg, stats in zip(configs, totals):
         report = _report(stats)
         history.append((cfg.lambda_lat, report.score))
-        if best is None or report.score > best.bleu.score:
-            best = TuneResult(cfg.lambda_lat, 1.0, report)
-    best.history = history
-    return best
+        if best is None or report.score > best[1].score:
+            best = (cfg.lambda_lat, report)
+    return TuneResult(best[0], 1.0, best[1], history)

@@ -28,10 +28,9 @@ decode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ConfigError
 from .ops import _spell
@@ -50,38 +49,41 @@ def check_lambdas(lambda_lat: float, lambda_scorer: float) -> None:
         raise ConfigError("at least one lambda must be positive")
 
 
-@dataclass(slots=True)
 class DecoderConfig:
-    beam: int = 12
-    lambda_lat: float = 1.0
-    lambda_scorer: float = 1.0
-    local_softmax: bool = False
+    __slots__ = ("beam", "lambda_lat", "lambda_scorer", "local_softmax")
 
-    def __post_init__(self):
-        if self.beam < 1:
+    def __init__(self, beam: int = 12, lambda_lat: float = 1.0,
+                 lambda_scorer: float = 1.0, local_softmax: bool = False):
+        if beam < 1:
             raise ConfigError("beam must be at least 1")
-        check_lambdas(self.lambda_lat, self.lambda_scorer)
+        check_lambdas(lambda_lat, lambda_scorer)
+        self.beam = beam
+        self.lambda_lat = lambda_lat
+        self.lambda_scorer = lambda_scorer
+        self.local_softmax = local_softmax
 
 
-@dataclass(slots=True, eq=False)
 class Hypothesis:
     """A search node. node is its prefix as a back-pointer node:
-    (parent node, last token), or () for the empty prefix. repr leaves
-    it out, since a long prefix nests deeper than repr can recurse."""
+    (parent node, last token), or () for the empty prefix. decode sets
+    scorer_state when the hypothesis consumes its last token."""
 
-    score: float
-    lattice_state: int
-    scorer_state: Any
-    node: tuple = field(default=(), repr=False)
-    finished: bool = False
+    __slots__ = ("score", "lattice_state", "scorer_state", "node", "finished")
+
+    def __init__(self, score: float, lattice_state: int, scorer_state: Any,
+                 node: tuple = (), finished: bool = False):
+        self.score = score
+        self.lattice_state = lattice_state
+        self.scorer_state = scorer_state
+        self.node = node
+        self.finished = finished
 
     @property
     def prefix(self) -> tuple[int, ...]:
         return _spell(self.node)
 
 
-@dataclass(slots=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     """The best finished hypothesis, the final beam and the number of
     live hypotheses expanded.
 

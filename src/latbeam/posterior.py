@@ -9,8 +9,8 @@ token prefix through it yields the lattice's left-to-right conditionals.
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 import time
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -19,8 +19,6 @@ from . import ops, semiring
 from .errors import (CyclicLatticeError, EmptyLatticeError, NotDeterministicError,
                      NotStochasticError, SemiringError)
 from .wfsa import EPS, Arc, Wfsa, topological_order
-
-log = logging.getLogger(__name__)
 
 NEG_INF = -math.inf
 
@@ -171,7 +169,9 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     removal and determinization pool the probability of duplicate paths
     rather than keeping only the best one; pushing then normalizes the
     whole automaton. The stripped total (the negative log of the raw
-    lattice's mass) is logged and kept on the result as raw_total.
+    lattice's mass) is kept on the result as raw_total and logged at
+    INFO to the latbeam.posterior logger when the program has imported
+    logging; without that import no handler could show the record.
 
     The result equals push_log(minimize(determinize(rm_epsilon(raw)))) on
     the log-retagged input, but the input is checked once: one topological
@@ -223,5 +223,9 @@ def prepare(raw: Wfsa, stages: dict | None = None) -> PosteriorLattice:
     if stages is not None:
         for name, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
             stages[name] = stages.get(name, 0.0) + seconds
-    log.info("pushed lattice: discarded total weight %.6f", total)
+    # importing logging here would cost every command its start-up
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(
+            "pushed lattice: discarded total weight %.6f", total)
     return PosteriorLattice(pushed, raw_total=total)

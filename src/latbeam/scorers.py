@@ -25,8 +25,7 @@ end of a sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, ScorerFormatError
 from .semiring import STOCHASTIC_TOL
@@ -63,8 +62,7 @@ def logsumexp(values) -> float:
     return top + math.log(total)
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
+class Prediction(NamedTuple):
     """One predictive distribution: vocabulary tokens plus unk and eos.
 
     All values are natural log-probabilities; the three parts together

@@ -12,15 +12,14 @@ confusion-network-style lattices that the performance checks prepare.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import semiring
 from .wfsa import SymbolTable, Wfsa, format_symbols, serialize_wfsa
 
 
-@dataclass(slots=True)
-class DemoSet:
+class DemoSet(NamedTuple):
     symbols: SymbolTable
     lattices: list[Wfsa]
     references: list[list[int]]

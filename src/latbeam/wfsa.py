@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import NamedTuple
 
@@ -418,8 +417,7 @@ def topological_order(w: Wfsa) -> list[int] | None:
     return order
 
 
-@dataclass(slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     n_states: int
     n_arcs: int
     n_finals: int

@@ -42,12 +42,17 @@ def ws(tmp_path_factory):
     return root
 
 
-def run_cli(*args, timeout=None):
-    """Run the command line in a fresh interpreter, as a user would."""
+def run_python(*args, timeout=None):
+    """Run a fresh interpreter with latbeam's source on its path."""
     src = str(Path(latbeam.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "latbeam.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_cli(*args, timeout=None):
+    """Run the command line in a fresh interpreter, as a user would."""
+    return run_python("-m", "latbeam.cli", *args, timeout=timeout)
 
 
 def decode_args(ws, *extra):
@@ -809,10 +814,7 @@ class TestPerFileContract:
         # only a run with more than one worker imports the process pool
         probe = ("import sys, latbeam.cli; print([m for m in ('multiprocessing', "
                  "'concurrent.futures.process') if m in sys.modules])")
-        src = str(Path(latbeam.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=src),
-                              timeout=60)
+        proc = run_python("-c", probe, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
@@ -1063,3 +1065,44 @@ class TestCollector:
         finally:
             gc.enable()
         capsys.readouterr()
+
+
+class TestStartUp:
+    """Each command runs in its own process, so what importing latbeam
+    loads is paid before every command's first sentence. dataclasses
+    (which loads inspect) and logging cost about 1.5 MB of max RSS
+    together and do no work for a command, so latbeam imports neither."""
+
+    MODULES = ("dataclasses", "inspect", "logging")
+    # a 3-state lattice prepared, decoded and scored with BLEU
+    RUN = """
+import latbeam, latbeam.cli
+from latbeam import UniformScorer, Wfsa, corpus_bleu, decode, prepare
+w = Wfsa()
+w.add_arc(0, 1, 0.5, 1)
+w.add_arc(0, 2, 1.0, 1)
+w.add_arc(1, 3, 0.25, 2)
+w.set_final(2)
+best = decode(prepare(w), UniformScorer({1, 2, 3})).best.prefix
+corpus_bleu([best], [best])
+"""
+
+    def loaded(self, code):
+        """The names of MODULES that a fresh interpreter running code holds."""
+        report = f"import sys; print(*[m for m in {self.MODULES!r} if m in sys.modules])"
+        proc = run_python("-c", code + "\n" + report, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split()), proc.stderr
+
+    def test_a_run_imports_neither_dataclasses_nor_logging(self):
+        at_start, _ = self.loaded("")
+        loaded, stderr = self.loaded(self.RUN)
+        assert loaded <= at_start
+        assert stderr == ""
+
+    def test_prepare_logs_the_discarded_total_once_logging_is_configured(self):
+        # logging is imported after latbeam, as by a program that
+        # configures it late
+        configure = "import latbeam, logging\nlogging.basicConfig(level=logging.INFO)\n"
+        _, stderr = self.loaded(configure + self.RUN)
+        assert "discarded total" in stderr
