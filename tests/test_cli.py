@@ -1088,7 +1088,8 @@ corpus_bleu([best], [best])
 """
 
     def loaded(self, code):
-        """The names of MODULES that a fresh interpreter running code holds."""
+        """The names of MODULES that a fresh interpreter holds after
+        running code, and its stderr."""
         report = f"import sys; print(*[m for m in {self.MODULES!r} if m in sys.modules])"
         proc = run_python("-c", code + "\n" + report, timeout=60)
         assert proc.returncode == 0, proc.stderr
